@@ -521,7 +521,8 @@ def run(argv: list[str]) -> int:
         return EXIT_USAGE
     except CapExhausted as exc:
         sys.stdout.write(jsonio.dumps({"error": str(exc),
-                                       "cap_exhausted": True}))
+                                       "cap_exhausted": True,
+                                       "stats": exc.stats}))
         return EXIT_CAP
     except VerificationError as exc:
         sys.stdout.write(jsonio.dumps({"error": str(exc),

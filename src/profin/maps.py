@@ -120,14 +120,115 @@ def _forced_constants(a: FinStructure, b: FinStructure) -> dict[int, int] | None
     return forced
 
 
+def _closing_pairs(a: FinStructure, b: FinStructure, v: int,
+                   assignment: Mapping[int, int]):
+    """The relation pairs that assigning ``v`` closes, and the images allowed.
+
+    Returns (allowed, outs, ins, loops).  outs and ins hold (i, x) for each
+    pair (v, u) and (u, v) of relation i whose other end u is already
+    assigned to x, loops the i of each loop (v, v).  A candidate w closes
+    the codomain pairs (w, x), (x, w) and (w, w); allowed is the set of
+    codomain vertices for which all of them lie in the codomain relations,
+    found from the codomain's adjacency, so its cost follows the degrees
+    rather than the codomain's size.
+    """
+    outs, ins, loops = [], [], []
+    for i in range(a.m):
+        for u in a.out_neighbors(i, v):
+            if u == v:
+                loops.append(i)
+            elif u in assignment:
+                outs.append((i, assignment[u]))
+        for u in a.in_neighbors(i, v):
+            if u != v and u in assignment:
+                ins.append((i, assignment[u]))
+    allowed = b.vertices
+    fits = [b.in_neighbors(i, x) for i, x in outs]
+    fits += [b.out_neighbors(i, x) for i, x in ins]
+    if fits:
+        allowed = allowed.intersection(*fits)
+    for i in loops:
+        allowed = {w for w in allowed if (w, w) in b.relations[i]}
+    return allowed, outs, ins, loops
+
+
+class _Coverage:
+    """What a partial map covers, kept on assign and undo.
+
+    ``image_count`` counts the domain vertices sent to each codomain vertex
+    and ``uncovered`` the codomain vertices not hit yet.  ``hits`` counts,
+    per relation, how often each codomain pair is the image of a closed
+    domain pair.  ``slack[i]`` is the number of domain pairs of relation i
+    still open (an end unassigned) minus the codomain pairs of relation i
+    not hit yet.  A pair that closes onto an unhit codomain pair leaves the
+    slack as it is, and one that closes onto a hit pair lowers it.  Each
+    open pair covers at most one codomain pair when it closes, so no
+    extension of a map with a negative slack is an epimorphism.
+    """
+
+    __slots__ = ("image_count", "uncovered", "hits", "slack")
+
+    def __init__(self, a: FinStructure, b: FinStructure):
+        self.image_count = dict.fromkeys(b.vertices, 0)
+        self.uncovered = len(b.vertices)
+        self.hits = [dict.fromkeys(rel, 0) for rel in b.relations]
+        self.slack = [len(a.relations[i]) - len(b.relations[i])
+                      for i in range(a.m)]
+
+    def add(self, w: int, pairs: list) -> bool:
+        """Count image w and the closed pairs (i, codomain pair), unless a
+        slack would go negative; then change nothing and return False."""
+        hits, slack = self.hits, self.slack
+        for i, pair in pairs:
+            count = hits[i][pair]
+            hits[i][pair] = count + 1
+            if count:
+                slack[i] -= 1
+        if min(slack) < 0:
+            self._unhit(pairs)
+            return False
+        if not self.image_count[w]:
+            self.uncovered -= 1
+        self.image_count[w] += 1
+        return True
+
+    def remove(self, w: int, pairs: list) -> None:
+        """Undo ``add(w, pairs)``."""
+        self._unhit(pairs)
+        self.image_count[w] -= 1
+        if not self.image_count[w]:
+            self.uncovered += 1
+
+    def _unhit(self, pairs: list) -> None:
+        hits, slack = self.hits, self.slack
+        for i, pair in pairs:
+            count = hits[i][pair] - 1
+            hits[i][pair] = count
+            if count:
+                slack[i] += 1
+
+
 def _search_map(a: FinStructure, b: FinStructure, budget: int,
                 surjective: bool) -> StructMap | None:
     """Backtracking vertex-map search, deterministic.
 
-    Domain vertices are processed in decreasing total degree (ties by id);
-    candidate images in increasing id order.  ``budget`` counts assignment
-    attempts; exceeding it raises CapExhausted, while a completed search
+    Domain vertices are assigned in decreasing total degree (ties by id);
+    candidate images in increasing id order.  A candidate must send every
+    relation pair it closes (its other end already assigned, or a loop)
+    into the codomain relation.  ``budget`` counts assignment attempts;
+    exceeding it raises CapExhausted, whose ``stats`` hold the attempts
+    made and the most vertices assigned at once.  A completed search
     returning None is a proof of nonexistence.
+
+    When ``surjective`` is set, coverage counters (``_Coverage``) prune the
+    search: a branch is cut when more codomain vertices are uncovered than
+    domain vertices remain, or when some relation has more uncovered
+    codomain pairs than open domain pairs.  A cut subtree holds no
+    epimorphism, so the first witness in search order is the same as
+    without the cuts; the full map is still checked by check_epimorphism.
+
+    The search runs from an explicit stack, one level per domain vertex,
+    so its depth is not bounded by the interpreter's recursion limit.
     """
     if a.m != b.m or a.n != b.n:
         raise ValueError("arity mismatch")
@@ -143,60 +244,72 @@ def _search_map(a: FinStructure, b: FinStructure, budget: int,
                    for i in range(a.m))
 
     order = sorted(a.vertices, key=lambda v: (-total_degree(v), v))
-    pos = {v: k for k, v in enumerate(order)}
+    depth = len(order)
     forced = _forced_constants(a, b)
     if forced is None:
         return None
+    if surjective:
+        cover = _Coverage(a, b)
+        if cover.uncovered > depth or min(cover.slack) < 0:
+            return None
     candidates = sorted(b.vertices)
     assignment: dict[int, int] = {}
-    image_count: dict[int, int] = {w: 0 for w in b.vertices}
-    spent = 0
-
-    def consistent(v: int, w: int) -> bool:
-        for i in range(a.m):
-            cod = b.relations[i]
-            for u in a.out_neighbors(i, v):
-                if u in assignment and (w, assignment[u]) not in cod:
-                    return False
-                if u == v and (w, w) not in cod:
-                    return False
-            for u in a.in_neighbors(i, v):
-                if u in assignment and (assignment[u], w) not in cod:
-                    return False
-        return True
-
-    def extend(k: int) -> StructMap | None:
-        nonlocal spent
-        if k == len(order):
-            phi = StructMap(a, b, dict(assignment))
-            if surjective:
-                return phi if check_epimorphism(phi) else None
-            return phi
-        v = order[k]
-        opts = [forced[v]] if v in forced else candidates
-        remaining = len(order) - k
-        for w in opts:
+    # Per level: the pairs its vertex closes, the codomain pairs its current
+    # image hits, and the index of the next candidate to try.
+    closing: list = [None] * depth
+    hit: list = [None] * depth
+    resume = [0] * depth
+    spent = deepest = 0
+    level = j = 0
+    while True:
+        v = order[level]
+        if j == 0:
+            closing[level] = _closing_pairs(a, b, v, assignment)
+        allowed, outs, ins, loops = closing[level]
+        opts = (forced[v],) if v in forced else candidates
+        # Only an uncovered image keeps enough vertices for the rest.
+        tight = surjective and cover.uncovered >= depth - level
+        placed = False
+        while j < len(opts):
+            w = opts[j]
+            j += 1
             spent += 1
             if spent > budget:
                 raise CapExhausted(
                     f"map search exceeded budget of {budget} expansions",
-                    budget=budget)
-            if surjective:
-                uncovered = sum(1 for x in image_count.values() if x == 0)
-                if image_count[w] > 0 and uncovered >= remaining:
-                    continue
-            if not consistent(v, w):
+                    budget=budget,
+                    stats={"nodes": spent, "deepest": deepest})
+            if tight and cover.image_count[w] or w not in allowed:
                 continue
+            if surjective:
+                pairs = [(i, (w, x)) for i, x in outs]
+                pairs += [(i, (x, w)) for i, x in ins]
+                pairs += [(i, (w, w)) for i in loops]
+                if not cover.add(w, pairs):
+                    continue
+                hit[level] = pairs
             assignment[v] = w
-            image_count[w] += 1
-            found = extend(k + 1)
-            if found is not None:
-                return found
-            del assignment[v]
-            image_count[w] -= 1
-        return None
-
-    return extend(0)
+            placed = True
+            break
+        if placed:
+            resume[level] = j
+            level += 1
+            if level > deepest:
+                deepest = level
+            if level < depth:
+                j = 0
+                continue
+            phi = StructMap(a, b, assignment)
+            if not surjective or check_epimorphism(phi):
+                return phi
+        # Backtrack: undo the assignment one level up and resume after it.
+        level -= 1
+        if level < 0:
+            return None
+        w = assignment.pop(order[level])
+        if surjective:
+            cover.remove(w, hit[level])
+        j = resume[level]
 
 
 def find_homomorphism(a: FinStructure, b: FinStructure,
@@ -322,7 +435,6 @@ def _reattach_fn(core: FinStructure, psi1: StructMap, psi2: StructMap,
     union, injs = disjoint_union(parts)
     n = a1.n
     full = expand_constants(union, n)
-    inv0 = {w: v for v, w in injs[0].items()}
     map1 = {injs[0][v]: psi1.mapping[v] for v in core.vertices}
     map2 = {injs[0][v]: psi2.mapping[v] for v in core.vertices}
     k = 1
@@ -340,7 +452,6 @@ def _reattach_fn(core: FinStructure, psi1: StructMap, psi2: StructMap,
     for j in range(n):
         map1[fresh[j]] = a1.constants[j]
         map2[fresh[j]] = a2.constants[j]
-    del inv0
     return full, StructMap(full, a1, map1), StructMap(full, a2, map2)
 
 

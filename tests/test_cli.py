@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -111,6 +113,16 @@ class TestEpi:
                            pf.make_spiral(2, 3, 2).structure)
         rc, out = capout(["epi", "--dom", a, "--cod", b, "--cap", "3"])
         assert rc == 3 and json.loads(out)["cap_exhausted"] is True
+
+    def test_budget_payload_reports_search_stats(self, tmp_path, capout):
+        a = structure_file(tmp_path, "a.json",
+                           pf.make_spiral(4, 3, 4).structure)
+        b = structure_file(tmp_path, "b.json",
+                           pf.make_spiral(2, 3, 2).structure)
+        rc, out = capout(["epi", "--dom", a, "--cod", b, "--cap", "3"])
+        stats = json.loads(out)["stats"]
+        assert rc == 3 and stats["nodes"] == 4
+        assert 0 <= stats["deepest"] <= 3
 
 
 class TestAmalgamate:
@@ -311,10 +323,16 @@ class TestDeterminism:
 
 class TestEntryPoint:
     def test_module_subprocess(self):
+        # the child imports the same profin as this process, also when the
+        # tests found it through pytest's pythonpath setting
+        src = str(Path(pf.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src,
+                                             os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "profin.cli", "spiral", "make",
              "-p", "2", "-q", "1", "-r", "2"],
-            capture_output=True, text=True)
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=path))
         assert proc.returncode == 0
         blob = json.loads(proc.stdout)
         assert len(blob["vertices"]) == 3

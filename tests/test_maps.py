@@ -1,3 +1,4 @@
+import random
 from itertools import product as iproduct
 
 import pytest
@@ -18,6 +19,90 @@ def brute_force_epi_exists(a: FinStructure, b: FinStructure) -> bool:
         if pf.check_epimorphism(phi):
             return True
     return False
+
+
+def reference_search(a: FinStructure, b: FinStructure, budget: int,
+                     surjective: bool):
+    """Oracle: the plain recursive backtracker, as the solver was before it
+    counted coverage.  Same vertex order, candidate order and budget, with
+    the vertex-count prune only.  Returns (map or None, attempts made)."""
+    def total_degree(v):
+        return sum(len(a.out_neighbors(i, v)) + len(a.in_neighbors(i, v))
+                   for i in range(a.m))
+
+    if not a.vertices:
+        found = None if surjective and b.vertices else StructMap(a, b, {})
+        return found, 0
+    if not b.vertices:
+        return None, 0
+    order = sorted(a.vertices, key=lambda v: (-total_degree(v), v))
+    forced = {}
+    for j in range(a.n):
+        v, w = a.constants[j], b.constants[j]
+        if forced.get(v, w) != w:
+            return None, 0
+        forced[v] = w
+    candidates = sorted(b.vertices)
+    assignment = {}
+    image_count = {w: 0 for w in b.vertices}
+    spent = 0
+
+    def consistent(v, w):
+        for i in range(a.m):
+            cod = b.relations[i]
+            for u in a.out_neighbors(i, v):
+                if u in assignment and (w, assignment[u]) not in cod:
+                    return False
+                if u == v and (w, w) not in cod:
+                    return False
+            for u in a.in_neighbors(i, v):
+                if u in assignment and (assignment[u], w) not in cod:
+                    return False
+        return True
+
+    def extend(k):
+        nonlocal spent
+        if k == len(order):
+            phi = StructMap(a, b, dict(assignment))
+            if surjective:
+                return phi if pf.check_epimorphism(phi) else None
+            return phi
+        v = order[k]
+        opts = [forced[v]] if v in forced else candidates
+        remaining = len(order) - k
+        for w in opts:
+            spent += 1
+            if spent > budget:
+                raise CapExhausted("reference budget", budget=budget)
+            if surjective:
+                uncovered = sum(1 for x in image_count.values() if x == 0)
+                if image_count[w] > 0 and uncovered >= remaining:
+                    continue
+            if not consistent(v, w):
+                continue
+            assignment[v] = w
+            image_count[w] += 1
+            found = extend(k + 1)
+            if found is not None:
+                return found
+            del assignment[v]
+            image_count[w] -= 1
+        return None
+
+    found = extend(0)
+    return found, spent
+
+
+def xy_copies(k: int) -> FinStructure:
+    rel = set()
+    for c in range(k):
+        rel |= {(2 * c, 2 * c), (2 * c, 2 * c + 1), (2 * c + 1, 2 * c + 1)}
+    return FinStructure(1, range(2 * k), [rel])
+
+
+def looped_cycle(j: int) -> FinStructure:
+    return FinStructure(1, range(j), [{(i, i) for i in range(j)}
+                                      | {(i, (i + 1) % j) for i in range(j)}])
 
 
 class TestChecks:
@@ -109,6 +194,73 @@ class TestFindEpimorphism:
         first = pf.find_epimorphism(a, b)
         second = pf.find_epimorphism(a, b)
         assert first == second
+
+
+class TestSearchAgainstReference:
+    @staticmethod
+    def pairs(count: int):
+        """Seeded F0 pairs, domains of 2-6 vertices, codomains of 1-4: every
+        other codomain is a quotient of its domain, so that about half the
+        pairs have an epimorphism; every fifth pair gets a constant."""
+        rng = random.Random(20250921)
+        for k in range(count):
+            m = rng.randint(1, 2)
+            a = random_f0(rng, max_size=6, m=m)
+            if k % 2:
+                verts = a.sorted_vertices()
+                rng.shuffle(verts)
+                blocks = rng.randint(1, min(4, len(verts)))
+                b, _ = pf.quotient(a, Partition(
+                    [verts[i::blocks] for i in range(blocks)]))
+            else:
+                b = random_f0(rng, max_size=4, m=m)
+            if k % 5 == 4:
+                a, b = pf.expand_constants(a, 1), pf.expand_constants(b, 1)
+            yield a, b
+
+    @pytest.mark.parametrize("surjective", [True, False])
+    def test_same_answer_as_recursive_reference(self, surjective):
+        search = pf.find_epimorphism if surjective else pf.find_homomorphism
+        found = 0
+        for a, b in self.pairs(400):
+            want, spent = reference_search(a, b, 10**7, surjective)
+            got = search(a, b, budget=max(spent, 1))
+            assert got == want
+            found += got is not None
+        assert 100 <= found <= 350
+
+    def test_homomorphism_budget_is_unchanged(self):
+        # without surjectivity nothing is pruned: the same attempts are made
+        for a, b in self.pairs(60):
+            _, spent = reference_search(a, b, 10**7, False)
+            if spent == 0:
+                continue
+            with pytest.raises(CapExhausted) as info:
+                pf.find_homomorphism(a, b, budget=spent - 1)
+            assert info.value.stats["nodes"] == spent
+
+    def test_cap_exhausted_reports_nodes_and_depth(self):
+        a = pf.make_spiral(4, 3, 4).structure
+        b = pf.make_spiral(2, 3, 2).structure
+        with pytest.raises(CapExhausted) as info:
+            pf.find_epimorphism(a, b, budget=50)
+        stats = info.value.stats
+        assert stats["nodes"] == 51
+        assert 1 <= stats["deepest"] <= len(a.vertices)
+
+
+class TestSearchDefects:
+    def test_xy_copies_onto_looped_c7_decided_within_budget(self):
+        c7 = looped_cycle(7)
+        assert pf.find_epimorphism(xy_copies(6), c7, budget=1_000_000) is None
+        phi = pf.find_epimorphism(xy_copies(7), c7, budget=1_000_000)
+        assert phi is not None and pf.check_epimorphism(phi)
+
+    def test_long_path_domain_needs_no_recursion(self):
+        n = 2000
+        path = FinStructure(1, range(n), [{(i, i + 1) for i in range(n - 1)}])
+        phi = pf.find_homomorphism(path, xy_member())
+        assert phi is not None and pf.check_homomorphism(phi)
 
 
 class TestFibreProduct:

@@ -105,6 +105,20 @@ class TestExtension:
                                   phi1=pf.identity_map(other))
 
 
+class TestDeepSearch:
+    def test_universality_on_a_top_above_a_thousand_vertices(self):
+        # the map search used to recurse once per domain vertex and hit
+        # Python's recursion limit on tops of this size
+        t = pf.new_tower(seed_fn(), stage_guard=1 << 16)
+        phi2 = fold_map(doubled_target(), t.stages[0])
+        for _ in range(10):
+            assert t.discharge_extension(
+                phi2=phi2, phi1=t.bond_composite(0)) is not None
+        assert len(t.top.vertices) > 1000
+        assert t.discharge_universality(doubled_target())
+        assert t.discharged == 11
+
+
 class TestThreads:
     def grown_tower(self):
         t = pf.new_tower(seed_fn())

@@ -8,7 +8,7 @@ is ((a_1 * n + a_2) * n + ...) + a_k over universe size n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product as iproduct
+from itertools import combinations, permutations, product as iproduct
 from typing import Iterable, Sequence
 
 from .errors import CapExhausted
@@ -114,20 +114,6 @@ def pin_closure_violation(a: FinAlgebra, e: int):
     return None
 
 
-def _encode(size: int, values: Sequence[int]) -> int:
-    idx = 0
-    for v in values:
-        idx = idx * size + v
-    return idx
-
-
-def _decode(size: int, idx: int, length: int) -> tuple[int, ...]:
-    out = [0] * length
-    for k in range(length - 1, -1, -1):
-        idx, out[k] = divmod(idx, size)
-    return tuple(out)
-
-
 class BooleanPowerAlgebra(FinAlgebra):
     """Power algebra whose elements are functions from a finite point set."""
 
@@ -160,11 +146,7 @@ class BooleanPowerAlgebra(FinAlgebra):
 
 def boolean_power(a: FinAlgebra, points: int) -> BooleanPowerAlgebra:
     """All functions from a discrete point set into A, pointwise operations."""
-    if points < 1:
-        raise ValueError("point set must be nonempty")
-    space = BooleanPowerSpace(points)
-    funcs = [_decode(a.size, i, points) for i in range(a.size ** points)]
-    return BooleanPowerAlgebra(a, space, funcs)
+    return filtered_boolean_power(a, BooleanPowerSpace(points))
 
 
 def filtered_boolean_power(a: FinAlgebra,
@@ -184,74 +166,89 @@ def filtered_boolean_power(a: FinAlgebra,
     return BooleanPowerAlgebra(a, space, funcs)
 
 
-def _merge(parent: list[int], x: int) -> int:
+def _find(parent: list[int], x: int) -> int:
     while parent[x] != x:
         parent[x] = parent[parent[x]]
         x = parent[x]
     return x
 
 
-def congruence_closure(a: FinAlgebra,
-                       pairs: Iterable[tuple[int, int]]) -> Partition:
-    """Least congruence identifying the given pairs.
-
-    Fixed-point closure: whenever two elements merge, every operation
-    applied to contexts differing only in that coordinate merges too.
-    """
-    n = a.size
-    parent = list(range(n))
-    queue = [(int(x), int(y)) for x, y in pairs]
+def _close(parent: list[int], translations, queue) -> tuple[int, ...]:
+    """Least equivalence above parent holding the queued pairs and closed
+    under the translations; labels are block minima, hence canonical."""
     while queue:
         x, y = queue.pop()
-        rx, ry = _merge(parent, x), _merge(parent, y)
-        if rx == ry:
-            continue
-        parent[max(rx, ry)] = min(rx, ry)
-        for j, (arity, _) in enumerate(a.ops):
-            if arity == 0:
-                continue
-            for pos in range(arity):
-                for ctx in iproduct(range(n), repeat=arity - 1):
-                    left = ctx[:pos] + (x,) + ctx[pos:]
-                    right = ctx[:pos] + (y,) + ctx[pos:]
-                    fx, fy = a.apply(j, left), a.apply(j, right)
-                    if _merge(parent, fx) != _merge(parent, fy):
-                        queue.append((fx, fy))
+        rx, ry = _find(parent, x), _find(parent, y)
+        if rx != ry:
+            parent[max(rx, ry)] = min(rx, ry)
+            queue.extend((t[x], t[y]) for t in translations)
+    return tuple(_find(parent, x) for x in range(len(parent)))
+
+
+def _translations(a: FinAlgebra) -> list[tuple[int, ...]]:
+    """Distinct non-identity unary translations x -> f(c_1,..,x,..,c_k)."""
+    n, found = a.size, set()
+    for j, (arity, _) in enumerate(a.ops):
+        for pos in range(arity):
+            for ctx in iproduct(range(n), repeat=arity - 1):
+                found.add(tuple(a.apply(j, ctx[:pos] + (x,) + ctx[pos:])
+                                for x in range(n)))
+    found.discard(tuple(range(n)))
+    return list(found)
+
+
+def _partition(labels: Sequence[int]) -> Partition:
     blocks: dict[int, set[int]] = {}
-    for x in range(n):
-        blocks.setdefault(_merge(parent, x), set()).add(x)
+    for x, r in enumerate(labels):
+        blocks.setdefault(r, set()).add(x)
     return Partition(blocks.values())
 
 
+def congruence_closure(a: FinAlgebra,
+                       pairs: Iterable[tuple[int, int]]) -> Partition:
+    """Least congruence identifying the given pairs: by Mal'cev's lemma,
+    the union-find closure of the pairs under the unary translations."""
+    return _partition(_close(list(range(a.size)), _translations(a),
+                             [(int(x), int(y)) for x, y in pairs]))
+
+
 def congruence_lattice(a: FinAlgebra) -> tuple[Partition, ...]:
-    """All congruences: principal congruences closed under joins."""
-    n = a.size
-    delta = Partition([{x} for x in range(n)])
-    found = {delta}
-    for x in range(n):
-        for y in range(x + 1, n):
-            found.add(congruence_closure(a, [(x, y)]))
-    changed = True
-    while changed:
-        changed = False
-        items = sorted(found, key=lambda p: sorted(map(sorted, p.blocks)))
-        for t1 in items:
-            for t2 in items:
-                pairs = [(min(b), x) for p in (t1, t2) for b in p.blocks
-                         for x in b]
-                joined = congruence_closure(a, pairs)
-                if joined not in found:
-                    found.add(joined)
-                    changed = True
-    return tuple(sorted(found, key=lambda p: (len(p), sorted(map(sorted,
-                                                                 p.blocks)))))
+    """All congruences, ordered by block count and then by sorted blocks.
+
+    Each principal congruence Cg(x, y) is closed once; since every
+    congruence is a join of principal ones and the join in Con(A) is the
+    partition join (Freese, Computing congruences efficiently, 2008), the
+    rest come from joining found congruences with principal ones by
+    union-find on their labels, applying no operation.
+    """
+    n, translations = a.size, _translations(a)
+    principals: dict[tuple[int, ...], tuple[int, int]] = {}
+    for x, y in combinations(range(n), 2):
+        principals.setdefault(
+            _close(list(range(n)), translations, [(x, y)]), (x, y))
+    found = set(principals) | {tuple(range(n))}
+    work = list(found)
+    while work:
+        theta = work.pop()
+        for p, (x, y) in principals.items():
+            if theta[x] != theta[y]:
+                join = _close(list(theta), (), [(z, r) for z, r in
+                                                enumerate(p) if z != r])
+                if join not in found:
+                    found.add(join)
+                    work.append(join)
+    return tuple(sorted(map(_partition, found),
+                        key=lambda p: (len(p), sorted(map(sorted, p.blocks)))))
 
 
 def is_simple(a: FinAlgebra) -> bool:
-    """More than one element; only the diagonal and total congruences."""
+    """More than one element, and every Cg(x, y) with x != y is total;
+    stops at the first that is not, without building the lattice."""
     if a.size < 2:
         raise ValueError("simplicity needs more than one element")
-    return len(congruence_lattice(a)) == 2
+    n, translations = a.size, _translations(a)
+    return all(_close(list(range(n)), translations, [(x, y)]) == (0,) * n
+               for x, y in combinations(range(n), 2))
 
 
 def _projection_tables(n: int) -> list[tuple[int, ...]]:

@@ -15,7 +15,7 @@ from typing import Any
 
 from . import jsonio
 from .algebra import (BooleanPowerSpace, automorphisms, congruence_lattice,
-                      filtered_boolean_power, is_idempotent, is_simple,
+                      filtered_boolean_power, is_idempotent,
                       malcev_term_exists, pin_closure_violation)
 from .autgroup import (cycle_cover_instance, natural_action,
                        pinned_union_instance, qp_conjugator)
@@ -213,7 +213,7 @@ def _cmd_algebra(args) -> int:
         lattice = congruence_lattice(a)
         out["congruences"] = [[sorted(b) for b in p.blocks]
                               for p in lattice]
-        out["simple"] = is_simple(a) if a.size >= 2 else False
+        out["simple"] = len(lattice) == 2
     if args.malcev:
         table = malcev_term_exists(a)
         out["malcev"] = list(table) if table is not None else None
@@ -363,9 +363,7 @@ def _verify_map(cert: dict[str, Any]) -> bool:
     return check_epimorphism(phi)
 
 
-def _cmd_verify(args) -> int:
-    cert = _load(args.infile)
-    kind = cert.get("kind")
+def _check_certificate(kind: Any, cert: dict[str, Any]) -> tuple[bool, str]:
     ok = False
     detail = ""
     if kind in ("map", "epi"):
@@ -385,7 +383,10 @@ def _cmd_verify(args) -> int:
         wit = cert["witness"]
         psi1 = jsonio.map_from_json(wit["psi1"])
         psi2 = jsonio.map_from_json(wit["psi2"])
-        ok = check_epimorphism(psi1) and check_epimorphism(psi2)
+        # both epimorphisms must leave the one witness structure
+        ok = (psi1.domain == psi2.domain
+              == jsonio.structure_from_json(wit["structure"])
+              and check_epimorphism(psi1) and check_epimorphism(psi2))
         family = cert.get("family")
         if ok and family:
             ok = bool(in_family(psi1.domain, family))
@@ -402,6 +403,19 @@ def _cmd_verify(args) -> int:
             ok, detail = False, str(exc)
     else:
         raise _UsageError({"error": f"unknown certificate kind {kind!r}"})
+    return ok, detail
+
+
+def _cmd_verify(args) -> int:
+    cert = _load(args.infile)
+    if not isinstance(cert, dict):
+        raise _UsageError({"error": "a certificate must be a JSON object"})
+    kind = cert.get("kind")
+    try:
+        ok, detail = _check_certificate(kind, cert)
+    except KeyError as exc:
+        raise _UsageError({"error": f"malformed {kind} certificate: "
+                                    f"no {exc.args[0]!r}"}) from None
     payload = {"kind": "verify", "certificate": kind, "ok": ok}
     if detail:
         payload["detail"] = detail

@@ -1,10 +1,13 @@
 from itertools import product as iproduct
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import profin as pf
 from profin import (BooleanPowerSpace, CapExhausted, FinAlgebra, Partition,
                     preset_algebra)
+from profin.algebra import ALGEBRA_PRESETS
 
 
 def z2_ring() -> FinAlgebra:
@@ -30,19 +33,53 @@ def all_partitions(n: int):
 
 
 def is_congruence(a: FinAlgebra, blocks) -> bool:
+    """Every operation maps blockwise-related argument tuples into one
+    block (the related tuples are enumerated directly)."""
     index = {x: k for k, blk in enumerate(blocks) for x in blk}
     for j, (arity, _) in enumerate(a.ops):
         for args1 in iproduct(range(a.size), repeat=arity):
-            for args2 in iproduct(range(a.size), repeat=arity):
-                if all(index[x] == index[y] for x, y in zip(args1, args2)):
-                    if index[a.apply(j, args1)] != index[a.apply(j, args2)]:
-                        return False
+            want = index[a.apply(j, args1)]
+            for args2 in iproduct(*(blocks[index[x]] for x in args1)):
+                if index[a.apply(j, args2)] != want:
+                    return False
     return True
 
 
 def brute_congruences(a: FinAlgebra) -> set[Partition]:
     return {Partition(blocks) for blocks in all_partitions(a.size)
             if is_congruence(a, blocks)}
+
+
+def z2_power_cosets(k: int) -> set[Partition]:
+    """Coset partitions of all subgroups of Z2^k: the congruences of the
+    Boolean power, found without any congruence closure."""
+    p = pf.boolean_power(preset_algebra("Z2"), k)
+
+    def add(x, y):
+        return p.index_of([(u + v) % 2 for u, v in
+                           zip(p.function_of(x), p.function_of(y))])
+    zero = p.index_of([0] * k)
+    subgroups, work = {frozenset([zero])}, [frozenset([zero])]
+    while work:
+        h = work.pop()
+        for g in range(p.size):
+            bigger = h | {add(g, x) for x in h}
+            if bigger not in subgroups:
+                subgroups.add(bigger)
+                work.append(bigger)
+    return {Partition({frozenset(add(x, y) for y in h)
+                       for x in range(p.size)}) for h in subgroups}
+
+
+# Algebras on 2-4 elements with one binary and one unary operation.
+small_algebras = st.integers(2, 4).flatmap(lambda n: st.builds(
+    lambda binary, unary: FinAlgebra(n, [(2, binary), (1, unary)]),
+    st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n),
+    st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+
+# Every preset, then the Boolean powers the benchmark runs: (base, points).
+ALGEBRAS = ([(name, None) for name in ALGEBRA_PRESETS]
+            + [("Z2", 2), ("Z2", 3), ("Z3", 2), ("Z2", 4)])
 
 
 class TestIdempotents:
@@ -127,6 +164,48 @@ class TestCongruences:
         a = preset_algebra("Z4")
         theta = pf.congruence_closure(a, [(0, 2)])
         assert theta == Partition([{0, 2}, {1, 3}])
+
+    @pytest.mark.parametrize("base,points", [("Z2", 3), ("Z3", 2)])
+    def test_boolean_powers_against_brute_force_oracle(self, base, points):
+        a = pf.boolean_power(preset_algebra(base), points)
+        assert set(pf.congruence_lattice(a)) == brute_congruences(a)
+
+    @pytest.mark.parametrize("k,count", [(4, 67), (5, 374)])
+    def test_z2_powers_match_subgroup_cosets(self, k, count):
+        lattice = pf.congruence_lattice(
+            pf.boolean_power(preset_algebra("Z2"), k))
+        assert len(lattice) == count
+        assert set(lattice) == z2_power_cosets(k)
+        assert list(lattice) == sorted(lattice, key=lambda p: (
+            len(p), sorted(map(sorted, p.blocks))))
+
+    @pytest.mark.parametrize("base,points", ALGEBRAS)
+    def test_is_simple_agrees_with_lattice(self, base, points):
+        a = preset_algebra(base)
+        if points:
+            a = pf.boolean_power(a, points)
+        assert pf.is_simple(a) == (len(pf.congruence_lattice(a)) == 2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_algebras, st.data())
+    def test_closure_is_least_congruence_containing_pair(self, a, data):
+        x, y = (data.draw(st.integers(0, a.size - 1)) for _ in range(2))
+        above = [Partition(blocks) for blocks in all_partitions(a.size)
+                 if is_congruence(a, blocks)
+                 and any(x in b and y in b for b in blocks)]
+        least = Partition({frozenset(z for z in range(a.size)
+                                     if all(p.block_of(z) == p.block_of(w)
+                                            for p in above))
+                           for w in range(a.size)})
+        assert pf.congruence_closure(a, [(x, y)]) == least
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_algebras)
+    # {0}{1,2} is its only proper nontrivial congruence, while Cg(0, 1) and
+    # Cg(0, 2) are total: every pair must be tried, not just those with 0
+    @example(FinAlgebra(3, [(2, [0] * 9), (1, [1, 2, 2])]))
+    def test_is_simple_against_brute_force_oracle(self, a):
+        assert pf.is_simple(a) == (len(brute_congruences(a)) == 2)
 
 
 class TestBooleanPower:

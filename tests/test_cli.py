@@ -303,6 +303,32 @@ class TestVerifyRejectsTampering:
         rc, out = capout(["verify", "--in", path])
         assert rc == 1 and json.loads(out)["ok"] is False
 
+    @pytest.mark.parametrize("psi1_double,structure_double",
+                             [(False, False), (True, False), (False, True)])
+    def test_forged_jpp_with_unshared_domain(self, tmp_path, capout,
+                                             psi1_double, structure_double):
+        # identities on xy and on xy+xy are epimorphisms, but they do not
+        # leave one structure, so they prove no joint projection
+        double, _ = pf.disjoint_union([xy_member(), xy_member()])
+        ident = {s: jsonio.map_to_json(pf.StructMap(
+            s, s, {v: v for v in s.vertices})) for s in (xy_member(), double)}
+        cert = {"kind": "jpp", "exists": True, "witness": {
+            "structure": jsonio.structure_to_json(
+                double if structure_double else xy_member()),
+            "psi1": ident[double if psi1_double else xy_member()],
+            "psi2": ident[double]}}
+        path = write_json(tmp_path, "forged.json", cert)
+        rc, out = capout(["verify", "--in", path])
+        assert rc == 1 and json.loads(out)["ok"] is False
+
+    @pytest.mark.parametrize("cert", [{"kind": "epi", "exists": False},
+                                      [{"kind": "epi"}]])
+    def test_malformed_certificate_is_usage_error(self, tmp_path, capout,
+                                                  cert):
+        path = write_json(tmp_path, "bad.json", cert)
+        rc, out = capout(["verify", "--in", path])
+        assert rc == 2 and "error" in json.loads(out)
+
 
 class TestDeterminism:
     def test_qp_cover_seeded_identical(self, tmp_path, capout):

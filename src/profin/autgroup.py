@@ -5,8 +5,11 @@ tuple into conjugates.
 
 Composition convention is right-to-left: (u * v)(f) = u(v(f)), and the
 conjugate of h by c is c^-1 o h o c (c applied first).  Identities are
-checked by exhaustive evaluation on the full function space D, held as a
-numpy array with one row per function and one column per point.
+decided by normal form: every element is hbar(d) o khat(k), and for
+|A| >= 2 the wreath product Sym(A) wr Sym(free X) acts faithfully on the
+free coordinates, so two elements are equal exactly when their normal
+forms are.  Evaluation on the full function space D (``function_space``
+and the ``act`` methods, the only users of numpy) is the test oracle.
 
 Set-mode: the carrier A is a plain finite set and kernel values are
 arbitrary permutations of it.  Algebra-mode: A is a FinAlgebra and kernel
@@ -17,25 +20,33 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .algebra import BooleanPowerSpace, FinAlgebra, preserves_operations
-from .errors import VerificationError
+from .errors import CapExhausted, VerificationError
 from .groups import (FinGroup, Labelling, compose_perms, exponent,
-                     invert_perm, subgroup_closure)
+                     invert_perm)
 from .maps import StructMap, check_epimorphism
-from .spirals import QPWitness, Spiral, _propagate_mu, verify_qp
+from .spirals import (QPWitness, Spiral, _propagate_mu, mu_values_in_subgroup,
+                      verify_qp)
 from .structures import FinStructure, Partition, disjoint_union, quotient
+
+if TYPE_CHECKING:
+    import numpy as np
+
+_ROW_CAP = 2 ** 22
 
 
 @lru_cache(maxsize=8)
 def _function_table(a_size: int, points: int, marked: tuple[int, ...],
                     pins: tuple[int, ...]) -> np.ndarray:
     """All pinned functions X -> A as rows, free coordinates in lex order."""
+    import numpy as np
     free = [x for x in range(points) if x not in set(marked)]
     count = a_size ** len(free)
+    if count > _ROW_CAP:
+        raise CapExhausted(f"{count} functions exceed the row cap",
+                           budget=_ROW_CAP, stats={"rows": count})
     arr = np.zeros((count, points), dtype=np.int16)
     for x, e in zip(marked, pins):
         arr[:, x] = e
@@ -46,7 +57,10 @@ def _function_table(a_size: int, points: int, marked: tuple[int, ...],
 
 
 def function_space(space: BooleanPowerSpace, a_size: int) -> np.ndarray:
-    """Read-only array of every element of D (one function per row)."""
+    """Read-only array of every element of D (one function per row).
+
+    Raises ``CapExhausted`` above ``_ROW_CAP`` rows instead of allocating.
+    """
     arr = _function_table(a_size, space.points, space.marked, space.pins)
     arr.setflags(write=False)
     return arr
@@ -128,15 +142,15 @@ class Khat(AutElement):
         self.carrier = carrier
 
     def act(self, arr: np.ndarray) -> np.ndarray:
+        import numpy as np
         out = arr.copy()
         for x, p in self.values.items():
             out[:, x] = np.asarray(p, dtype=np.int16)[arr[:, x]]
         return out
 
     def inverse(self) -> "Khat":
-        return Khat(self.space, self.carrier if isinstance(
-            self.carrier, FinAlgebra) else self.a_size,
-            {x: invert_perm(p) for x, p in self.values.items()})
+        return Khat(self.space, self.carrier,
+                    {x: invert_perm(p) for x, p in self.values.items()})
 
     def __repr__(self) -> str:
         return f"Khat({len(self.values)} points)"
@@ -189,9 +203,13 @@ def identity_khat(space: BooleanPowerSpace,
 
 def elements_equal(e1: AutElement, e2: AutElement, space: BooleanPowerSpace,
                    carrier: FinAlgebra | int) -> bool:
-    """Exhaustive comparison on every element of D."""
-    table = function_space(space, _carrier_size(carrier))
-    return bool(np.array_equal(e1.act(table), e2.act(table)))
+    """Equality as bijections of D: D is one function when |A| < 2, and
+    otherwise equal maps have equal normal forms (with no free point, all
+    normal forms are equal)."""
+    if _carrier_size(carrier) < 2:
+        return True
+    (k1, d1), (k2, d2) = decompose(e1), decompose(e2)
+    return d1.perm == d2.perm and k1.values == k2.values
 
 
 def conjugate(h: AutElement, c: AutElement) -> ProductAut:
@@ -205,7 +223,7 @@ def conjugation_identity_check(space: BooleanPowerSpace,
                                h_perm: Sequence[int]) -> bool:
     """hbar khat hbar^-1 agrees with the kernel map composed with h^-1.
 
-    Witnesses normality of the kernel side by exhaustive evaluation.
+    Witnesses normality of the kernel side; decided by normal form.
     """
     h = Hbar(space, carrier, h_perm)
     k = Khat(space, carrier, values)
@@ -218,35 +236,21 @@ def conjugation_identity_check(space: BooleanPowerSpace,
 
 def preserves_filtered_operations(elem: AutElement, a: FinAlgebra,
                                   space: BooleanPowerSpace) -> bool:
-    """Exhaustively check the element is an algebra automorphism of D."""
-    table = function_space(space, a.size)
-    image = elem.act(table)
-    rows = {tuple(int(v) for v in row): k for k, row in enumerate(table)}
-    perm = [rows[tuple(int(v) for v in row)] for row in image]
-    if sorted(perm) != list(range(len(table))):
-        return False
-    for j, (arity, _) in enumerate(a.ops):
-        for args in np.ndindex(*([len(table)] * arity)):
-            fx = tuple(a.apply(j, tuple(int(table[k][x]) for k in args))
-                       for x in range(space.points))
-            lhs = perm[rows[fx]]
-            rhs = tuple(a.apply(j, tuple(int(image[k][x]) for k in args))
-                        for x in range(space.points))
-            if lhs != rows[rhs]:
-                return False
-    return True
+    """The element is an algebra automorphism of D: shuffles preserve the
+    pointwise operations and the free coordinates range over all of A, so
+    exactly when every kernel value of its normal form is one of A."""
+    k_part, _ = decompose(elem)
+    return all(preserves_operations(a, p) for p in k_part.values.values())
 
 
 def decompose(g: AutElement) -> tuple[Khat, Hbar]:
-    """Normal form g = hbar(d) o khat(k), re-verified by evaluation.
+    """Normal form g = hbar(d) o khat(k), in one pass over the factors.
 
     Shuffles are pushed left through kernels with the conjugation identity
-    hbar^-1 khat(chi) hbar = khat(chi o h).
+    hbar^-1 khat(chi) hbar = khat(chi o h).  Evaluation on D is the oracle.
     """
     prims = g._app_order()
-    sample = prims[0]
-    space = sample.space  # type: ignore[attr-defined]
-    a_size = sample.a_size  # type: ignore[attr-defined]
+    space, a_size = prims[0].space, prims[0].a_size  # type: ignore
     d = tuple(range(space.points))
     ident = tuple(range(a_size))
     k = {x: ident for x in space.free_points()}
@@ -257,11 +261,7 @@ def decompose(g: AutElement) -> tuple[Khat, Hbar]:
             k = {x: compose_perms(w.values[d[x]], k[x]) for x in k}
         else:
             raise ValueError(f"cannot decompose factor {w!r}")
-    k_part = Khat(space, a_size, k)
-    d_part = Hbar(space, a_size, d)
-    if not elements_equal(g, ProductAut([d_part, k_part]), space, a_size):
-        raise VerificationError("normal form disagrees with the element")
-    return k_part, d_part
+    return Khat(space, a_size, k), Hbar(space, a_size, d)
 
 
 @dataclass
@@ -308,15 +308,10 @@ class TransconjInstance:
             for x in self.space.marked:
                 if p[x] != x:
                     raise VerificationError(f"h[{i}] moves marked point {x}")
-        if len(self.action) != self.group.order:
-            raise VerificationError("action size differs from group order")
-        for g1 in range(self.group.order):
-            for g2 in range(self.group.order):
-                if (compose_perms(self.action[g1], self.action[g2])
-                        != self.action[self.group.table[g1][g2]]):
-                    raise VerificationError("action is not a homomorphism")
-        if len(set(self.action)) != self.group.order:
-            raise VerificationError("action is not faithful")
+        try:
+            check_action(self.group, self.action, self.a_size)
+        except ValueError as exc:
+            raise VerificationError(str(exc)) from None
         xs = self.point_structure()
         blk, proj = quotient(xs, self.partition)
         if blk != self.block_structure or proj != self.proj:
@@ -370,8 +365,8 @@ def qp_conjugator(inst: TransconjInstance,
     """Kernel element c with a_i o hbar_i = c^-1 o hbar_i o c for all i.
 
     The instance is re-verified first; the conjugator value at x is the
-    action of mu(psi(x)).  The identity is then checked by exhaustive
-    evaluation over all of D.
+    action of mu(psi(x)).  The identity is then checked by
+    ``verify_conjugator``.
     """
     inst.verify()
     if carrier is None:
@@ -379,14 +374,19 @@ def qp_conjugator(inst: TransconjInstance,
     c = Khat(inst.space, carrier,
              {x: inst.action[inst.mu.component(inst.psi[x], 0)]
               for x in inst.space.free_points()})
+    verify_conjugator(inst, c)
+    return c
+
+
+def verify_conjugator(inst: TransconjInstance, c: Khat) -> None:
+    """Check a_i o hbar_i = c^-1 o hbar_i o c for every relation i, by
+    normal form, naming the first relation where it fails."""
     for i in range(inst.m):
         hb = Hbar(inst.space, inst.a_size, inst.h[i])
-        lhs = ProductAut([inst.kernel[i], hb])
-        rhs = conjugate(hb, c)
-        if not elements_equal(lhs, rhs, inst.space, inst.a_size):
+        if not elements_equal(ProductAut([inst.kernel[i], hb]),
+                              conjugate(hb, c), inst.space, inst.a_size):
             raise VerificationError(
                 f"translate/conjugate identity fails for relation {i}")
-    return c
 
 
 def check_action(group: FinGroup, action: Sequence[Sequence[int]],
@@ -584,9 +584,7 @@ def conjugator_values_in_stabiliser(c: Khat, points: frozenset[int],
 
 def mu_subgroup_check(inst: TransconjInstance) -> bool:
     """mu values lie in the subgroup generated by the block labels."""
-    gens = {v[0] for v in inst.lam.values.values()}
-    closure = subgroup_closure(inst.group, gens)
-    return all(v[0] in closure for v in inst.mu.values.values())
+    return mu_values_in_subgroup(QPWitness(inst.phi2, inst.lam, inst.mu))
 
 
 __all__ = [
@@ -595,5 +593,5 @@ __all__ = [
     "conjugator_values_in_stabiliser", "cycle_cover_instance", "decompose",
     "elements_equal", "function_space", "hbar", "identity_khat", "khat",
     "mu_subgroup_check", "natural_action", "pinned_union_instance",
-    "preserves_filtered_operations", "qp_conjugator",
+    "preserves_filtered_operations", "qp_conjugator", "verify_conjugator",
 ]

@@ -17,8 +17,8 @@ from . import jsonio
 from .algebra import (BooleanPowerSpace, automorphisms, congruence_lattice,
                       filtered_boolean_power, is_idempotent,
                       malcev_term_exists, pin_closure_violation)
-from .autgroup import (cycle_cover_instance, natural_action,
-                       pinned_union_instance, qp_conjugator)
+from .autgroup import (Khat, cycle_cover_instance, natural_action,
+                       pinned_union_instance, qp_conjugator, verify_conjugator)
 from .errors import CapExhausted, VerificationError
 from .groups import Labelling, exponent, preset_group
 from .maps import (check_epimorphism, check_homomorphism, compose,
@@ -52,6 +52,25 @@ def _load(path: str) -> Any:
                            "pos": exc.pos}) from None
 
 
+# What a JSON document of the wrong shape raises in the parsers.
+_MALFORMED = (KeyError, TypeError, AttributeError)
+
+
+def _malformed(what: str, exc: Exception) -> _UsageError:
+    why = f"no {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
+    return _UsageError({"error": f"malformed {what}: {why}"})
+
+
+def _parse(parse, path: str) -> Any:
+    """Load a JSON file and parse it; a document of the wrong shape is a
+    usage error, not a traceback."""
+    doc = _load(path)
+    try:
+        return parse(doc)
+    except _MALFORMED as exc:
+        raise _malformed(f"input {path}", exc) from None
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -78,7 +97,7 @@ def _membership_report(rep) -> dict[str, Any]:
 
 
 def _cmd_check(args) -> int:
-    s = jsonio.structure_from_json(_load(args.infile))
+    s = _parse(jsonio.structure_from_json, args.infile)
     rep = in_family(s, args.family)
     out = _membership_report(rep)
     out["structure"] = jsonio.structure_to_json(s)
@@ -87,8 +106,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_epi(args) -> int:
-    dom = jsonio.structure_from_json(_load(args.dom))
-    cod = jsonio.structure_from_json(_load(args.cod))
+    dom = _parse(jsonio.structure_from_json, args.dom)
+    cod = _parse(jsonio.structure_from_json, args.cod)
     phi = find_epimorphism(dom, cod, budget=args.cap)
     if phi is None:
         _emit_json({"kind": "epi", "exists": False}, args.out)
@@ -107,13 +126,13 @@ def _witness_json(c, psi1, psi2) -> dict[str, Any]:
 
 def _cmd_amalgamate(args) -> int:
     if args.jpp:
-        a1 = jsonio.structure_from_json(_load(args.left))
-        a2 = jsonio.structure_from_json(_load(args.right))
+        a1 = _parse(jsonio.structure_from_json, args.left)
+        a2 = _parse(jsonio.structure_from_json, args.right)
         got = jpp_witness(a1, a2, args.family, size_cap=args.cap)
         payload: dict[str, Any] = {"kind": "jpp", "family": args.family}
     else:
-        phi1 = jsonio.map_from_json(_load(args.left))
-        phi2 = jsonio.map_from_json(_load(args.right))
+        phi1 = _parse(jsonio.map_from_json, args.left)
+        phi2 = _parse(jsonio.map_from_json, args.right)
         got = pap_witness(phi1, phi2, args.family, size_cap=args.cap)
         payload = {"kind": "pap", "family": args.family,
                    "phi1": jsonio.map_to_json(phi1),
@@ -167,7 +186,8 @@ def _cmd_qp(args) -> int:
     group = preset_group(args.group)
     if args.action == "label":
         sp = Spiral(args.p, args.q, args.r)
-        raw = _parse_label_values(_load(args.labels), args.width)
+        raw = _parse(lambda d: _parse_label_values(d, args.width),
+                     args.labels)
         try:
             values = {sp.vertex_by_name(name): tup
                       for name, tup in raw.items()}
@@ -182,9 +202,9 @@ def _cmd_qp(args) -> int:
                                 args.alpha)
         _emit_json(_qp_witness_json(w), args.out)
         return EXIT_OK
-    s = jsonio.structure_from_json(_load(args.infile))
+    s = _parse(jsonio.structure_from_json, args.infile)
     if args.labels:
-        raw = _parse_label_values(_load(args.labels), s.m)
+        raw = _parse(lambda d: _parse_label_values(d, s.m), args.labels)
         idx = {s.label_of(v): v for v in s.vertices}
         lam = Labelling(s.vertices, group, s.m,
                         {idx[name]: tup for name, tup in raw.items()})
@@ -202,8 +222,8 @@ def _cmd_qp(args) -> int:
 
 
 def _cmd_algebra(args) -> int:
-    a = jsonio.algebra_from_json(_load(args.infile) if args.infile
-                                 else args.preset)
+    a = (_parse(jsonio.algebra_from_json, args.infile) if args.infile
+         else jsonio.algebra_from_json(args.preset))
     out: dict[str, Any] = {"kind": "algebra",
                            "algebra": jsonio.algebra_to_json(a)}
     if args.idempotents:
@@ -225,8 +245,8 @@ def _cmd_algebra(args) -> int:
 
 
 def _cmd_power(args) -> int:
-    a = jsonio.algebra_from_json(_load(args.infile) if args.infile
-                                 else args.preset)
+    a = (_parse(jsonio.algebra_from_json, args.infile) if args.infile
+         else jsonio.algebra_from_json(args.preset))
     marked = tuple(args.marked or ())
     pins = tuple(args.pins or ())
     try:
@@ -363,6 +383,17 @@ def _verify_map(cert: dict[str, Any]) -> bool:
     return check_epimorphism(phi)
 
 
+def _conjugator(inst, pairs: Any) -> Khat:
+    """A certificate's conjugator as a kernel element of the instance; one
+    that is not a permutation at every free point fails verification."""
+    values = {int(x): tuple(int(v) for v in p) for x, p in pairs}
+    try:
+        return Khat(inst.space, inst.a_size, values)
+    except ValueError as exc:
+        raise VerificationError(
+            f"conjugator is not a kernel element: {exc}") from None
+
+
 def _check_certificate(kind: Any, cert: dict[str, Any]) -> tuple[bool, str]:
     ok = False
     detail = ""
@@ -397,7 +428,11 @@ def _check_certificate(kind: Any, cert: dict[str, Any]) -> tuple[bool, str]:
     elif kind == "transconj":
         inst = jsonio.instance_from_json(cert.get("instance", cert))
         try:
-            qp_conjugator(inst)
+            if "conjugator" in cert:
+                inst.verify()
+                verify_conjugator(inst, _conjugator(inst, cert["conjugator"]))
+            else:
+                qp_conjugator(inst)
             ok = True
         except VerificationError as exc:
             ok, detail = False, str(exc)
@@ -413,9 +448,8 @@ def _cmd_verify(args) -> int:
     kind = cert.get("kind")
     try:
         ok, detail = _check_certificate(kind, cert)
-    except KeyError as exc:
-        raise _UsageError({"error": f"malformed {kind} certificate: "
-                                    f"no {exc.args[0]!r}"}) from None
+    except _MALFORMED as exc:
+        raise _malformed(f"{kind} certificate", exc) from None
     payload = {"kind": "verify", "certificate": kind, "ok": ok}
     if detail:
         payload["detail"] = detail

@@ -1,11 +1,17 @@
+import os
+import random
+import subprocess
+import sys
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import profin as pf
-from profin import (BooleanPowerSpace, Labelling, ProductAut,
+from profin import (BooleanPowerSpace, CapExhausted, Labelling, ProductAut,
                     VerificationError)
+from profin.algebra import ALGEBRA_PRESETS, is_idempotent
 from profin.autgroup import (conjugate, conjugator_values_in_stabiliser,
                              function_space, identity_khat,
                              mu_subgroup_check, natural_action,
@@ -37,6 +43,99 @@ def rand_kernel(rng, sp, a_size):
     return {x: rand_perm(rng, a_size) for x in sp.free_points()}
 
 
+def evaluated_equal(e1, e2, sp, a_size):
+    """Oracle: the two elements agree on every function of D."""
+    table = function_space(sp, a_size)
+    return np.array_equal(e1.act(table), e2.act(table))
+
+
+def rand_space(rng):
+    """1-5 points, |A| = 1-3; unpinned, some points pinned, or all."""
+    points, a_size = rng.randint(1, 5), rng.randint(1, 3)
+    roll = rng.random()
+    if roll < 0.5:
+        marked = ()
+    elif roll < 0.85 and points > 1:
+        marked = tuple(sorted(rng.sample(range(points),
+                                         rng.randint(1, points - 1))))
+    else:
+        marked = tuple(range(points))
+    pins = tuple(rng.randrange(a_size) for _ in marked)
+    return space(points, marked, pins), a_size
+
+
+def rand_element(rng, sp, a_size, depth=2):
+    """Random product of shuffles, kernels, inverses, conjugates and
+    nested products."""
+    factors = []
+    for _ in range(rng.randint(1, 4)):
+        roll = rng.random() if depth else rng.random() * 0.6
+        if roll < 0.3:
+            f = pf.hbar(sp, a_size, rand_fixing_perm(rng, sp))
+        elif roll < 0.6:
+            f = pf.khat(sp, a_size, rand_kernel(rng, sp, a_size))
+        elif roll < 0.75:
+            f = rand_element(rng, sp, a_size, depth - 1).inverse()
+        elif roll < 0.9:
+            f = conjugate(rand_element(rng, sp, a_size, depth - 1),
+                          rand_element(rng, sp, a_size, depth - 1))
+        else:
+            f = rand_element(rng, sp, a_size, depth - 1)
+        factors.append(f)
+    return ProductAut(factors)
+
+
+def same_element(rng, g, sp, a_size):
+    """Another expression of g: cancelling pairs, double conjugation,
+    double inverse or regrouping."""
+    h = rand_element(rng, sp, a_size, 1)
+    roll = rng.randrange(5)
+    if roll == 0:
+        return ProductAut([g, h, h.inverse()])
+    if roll == 1:
+        return ProductAut([h.inverse(), h, g])
+    if roll == 2:
+        return conjugate(conjugate(g, h), h.inverse())
+    if roll == 3:
+        return g.inverse().inverse()
+    cut = rng.randint(1, len(g.factors))
+    return ProductAut([ProductAut(g.factors[:cut])] + list(g.factors[cut:]))
+
+
+def one_kernel_value_off(sp, a_size, x):
+    """Kernel that swaps two elements of A at point x only."""
+    ident = tuple(range(a_size))
+    swap = (1, 0) + ident[2:]
+    return pf.khat(sp, a_size, {y: swap if y == x else ident
+                                for y in sp.free_points()})
+
+
+def one_transposition(sp, x, y):
+    p = list(range(sp.points))
+    p[x], p[y] = y, x
+    return tuple(p)
+
+
+def preserves_by_evaluation(elem, a, sp):
+    """Oracle: elem permutes D and commutes with every operation of the
+    power on every tuple of arguments from D."""
+    table = function_space(sp, a.size)
+    image = elem.act(table)
+    rows = {tuple(int(v) for v in row): k for k, row in enumerate(table)}
+    perm = [rows[tuple(int(v) for v in row)] for row in image]
+    if sorted(perm) != list(range(len(table))):
+        return False
+    for j, (arity, _) in enumerate(a.ops):
+        for args in np.ndindex(*([len(table)] * arity)):
+            fx = tuple(a.apply(j, tuple(int(table[k][x]) for k in args))
+                       for x in range(sp.points))
+            gx = tuple(a.apply(j, tuple(int(image[k][x]) for k in args))
+                       for x in range(sp.points))
+            if perm[rows[fx]] != rows[gx]:
+                return False
+    return True
+
+
 class TestFunctionSpace:
     def test_counts_and_pins(self):
         sp = space(3, marked=(1,), pins=(2,))
@@ -45,6 +144,116 @@ class TestFunctionSpace:
         assert set(table[:, 1].tolist()) == {2}
         rows = {tuple(r) for r in table.tolist()}
         assert len(rows) == 9
+
+    def test_cap_instead_of_allocation(self):
+        with pytest.raises(CapExhausted) as exc:
+            function_space(space(24), 3)
+        assert exc.value.stats == {"rows": 3 ** 24}
+
+    def test_import_does_not_load_numpy(self):
+        # numpy serves only the exhaustive helpers, so importing the
+        # package must not load it
+        src = str(Path(pf.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src,
+                                             os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, profin; sys.exit('numpy' in sys.modules)"],
+            env=dict(os.environ, PYTHONPATH=path))
+        assert proc.returncode == 0
+
+
+class TestNormalFormAgainstEvaluation:
+    def test_elements_equal_on_random_pairs(self):
+        rng = random.Random(4401)
+        equal = unequal = 0
+        for _ in range(600):
+            sp, a_size = rand_space(rng)
+            g = rand_element(rng, sp, a_size)
+            other = (same_element(rng, g, sp, a_size) if rng.random() < 0.6
+                     else rand_element(rng, sp, a_size))
+            want = evaluated_equal(g, other, sp, a_size)
+            assert pf.elements_equal(g, other, sp, a_size) == want
+            equal += want
+            unequal += not want
+        assert equal > 300 and unequal > 100
+
+    def test_single_function_spaces_are_all_equal(self):
+        rng = random.Random(4402)
+        for sp, a_size in [(space(3), 1), (space(2, (0, 1), (1, 0)), 2),
+                           (space(4, (1,), (0,)), 1)]:
+            for _ in range(10):
+                g = rand_element(rng, sp, a_size)
+                h = rand_element(rng, sp, a_size)
+                assert evaluated_equal(g, h, sp, a_size)
+                assert pf.elements_equal(g, h, sp, a_size)
+
+    def test_one_kernel_value_apart(self):
+        rng = random.Random(4403)
+        for _ in range(200):
+            sp, a_size = rand_space(rng)
+            free = sp.free_points()
+            if a_size < 2 or not free:
+                continue
+            g = rand_element(rng, sp, a_size)
+            k = one_kernel_value_off(sp, a_size, rng.choice(free))
+            for off in (ProductAut([g, k]), ProductAut([k, g])):
+                assert not evaluated_equal(g, off, sp, a_size)
+                assert not pf.elements_equal(g, off, sp, a_size)
+
+    def test_one_shuffle_transposition_apart(self):
+        rng = random.Random(4404)
+        for _ in range(200):
+            sp, a_size = rand_space(rng)
+            free = sp.free_points()
+            if a_size < 2 or len(free) < 2:
+                continue
+            g = rand_element(rng, sp, a_size)
+            t = pf.hbar(sp, a_size, one_transposition(sp, *rng.sample(
+                free, 2)))
+            for off in (ProductAut([g, t]), ProductAut([t, g])):
+                assert not evaluated_equal(g, off, sp, a_size)
+                assert not pf.elements_equal(g, off, sp, a_size)
+
+    def test_decompose_matches_evaluation(self):
+        rng = random.Random(4405)
+        for _ in range(300):
+            sp, a_size = rand_space(rng)
+            g = rand_element(rng, sp, a_size)
+            k_part, d_part = pf.decompose(g)
+            assert evaluated_equal(g, ProductAut([d_part, k_part]), sp,
+                                   a_size)
+
+    @pytest.mark.parametrize("preset", ALGEBRA_PRESETS)
+    def test_preserves_filtered_operations(self, preset):
+        rng = random.Random(4406)
+        a = pf.preset_algebra(preset)
+        autos = pf.automorphisms(a).perms
+        idem = [e for e in range(a.size) if is_idempotent(a, e)]
+        free = 1 if a.size > 4 else 2
+        found = set()
+        for _ in range(40):
+            if rng.random() < 0.5:
+                sp = space(free + 1, (free,), (rng.choice(idem),))
+            else:
+                sp = space(free)
+            factors = []
+            for _ in range(rng.randint(1, 3)):
+                if rng.random() < 0.4:
+                    factors.append(pf.hbar(sp, a.size,
+                                           rand_fixing_perm(rng, sp)))
+                else:
+                    factors.append(pf.khat(sp, a.size, {
+                        x: (rng.choice(autos) if rng.random() < 0.7
+                            else rand_perm(rng, a.size))
+                        for x in sp.free_points()}))
+            g = ProductAut(factors)
+            if rng.random() < 0.3:
+                g = g.inverse()
+            want = preserves_by_evaluation(g, a, sp)
+            assert preserves_filtered_operations(g, a, sp) == want
+            found.add(want)
+        assert found == {True, False}
 
 
 class TestHbar:
@@ -180,8 +389,7 @@ class TestDecompose:
                     factors.append(pf.khat(sp, 2, rand_kernel(rng, sp, 2)))
             g = ProductAut(factors)
             k_part, d_part = pf.decompose(g)
-            assert pf.elements_equal(
-                g, ProductAut([d_part, k_part]), sp, 2)
+            assert evaluated_equal(g, ProductAut([d_part, k_part]), sp, 2)
 
     def test_conjugate_shuffle_k_part_formula(self, rng):
         # h^(dc) = c^-1 (h^d c (h^d)^-1) h^d: the k-part of the conjugate
@@ -289,9 +497,24 @@ class TestQpConjugator:
                                        worked_lam(s3), alpha=2)
         pf.qp_conjugator(inst)
 
+    def test_s3_ell2_beyond_any_table(self):
+        # 24 free points over |A| = 3: 3^24 functions, more than any table
+        s3 = pf.preset_group("S3")
+        inst = pf.cycle_cover_instance(2, 1, 2, s3, natural_action(s3), 3,
+                                       worked_lam(s3), ell=2)
+        assert len(inst.space.free_points()) == 24
+        c = pf.qp_conjugator(inst)
+        hb = pf.hbar(inst.space, 3, inst.h[0])
+        lhs = ProductAut([inst.kernel[0], hb])
+        assert pf.elements_equal(lhs, conjugate(hb, c), inst.space, 3)
+        off = ProductAut([c, one_kernel_value_off(inst.space, 3, 0)])
+        assert not pf.elements_equal(lhs, conjugate(hb, off), inst.space, 3)
+        with pytest.raises(CapExhausted):
+            function_space(inst.space, 3)
+
     def test_identity_is_direction_sensitive(self):
         # with an order-3 kernel both the product order and the conjugation
-        # direction matter, so the exhaustive check is not vacuous
+        # direction matter, so the identity check is not vacuous
         from profin.autgroup import regular_action
         z3 = pf.preset_group("Z3")
         inst = pf.cycle_cover_instance(2, 1, 2, z3, regular_action(z3), 3,

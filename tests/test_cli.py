@@ -321,13 +321,49 @@ class TestVerifyRejectsTampering:
         rc, out = capout(["verify", "--in", path])
         assert rc == 1 and json.loads(out)["ok"] is False
 
-    @pytest.mark.parametrize("cert", [{"kind": "epi", "exists": False},
-                                      [{"kind": "epi"}]])
+    @pytest.mark.parametrize("cert", [
+        {"kind": "epi", "exists": False}, [{"kind": "epi"}],
+        {"kind": "jpp", "witness": {"structure": {}, "psi1": 3, "psi2": 3}}])
     def test_malformed_certificate_is_usage_error(self, tmp_path, capout,
                                                   cert):
         path = write_json(tmp_path, "bad.json", cert)
         rc, out = capout(["verify", "--in", path])
         assert rc == 2 and "error" in json.loads(out)
+
+
+    @pytest.mark.parametrize("tamper", ["not-a-permutation", "misses-point",
+                                        "wrong-kernel-element"])
+    def test_tampered_transconj_conjugator(self, tmp_path, capout, tamper):
+        rc, out = capout(["transconj", "demo", "--preset", "z2-spiral",
+                          "--seed", "7"])
+        assert rc == 0
+        cert = json.loads(out)
+        conj = cert["conjugator"]
+        if tamper == "not-a-permutation":
+            cert["conjugator"] = [[x, [0, 0]] for x, _ in conj]
+        elif tamper == "misses-point":
+            cert["conjugator"] = conj[1:]
+        else:
+            # a valid kernel element: one value swapped at point 0
+            cert["conjugator"] = [[x, p[::-1] if x == 0 else p]
+                                  for x, p in conj]
+        path = write_json(tmp_path, "tc.json", cert)
+        rc, out = capout(["verify", "--in", path])
+        assert rc == 1 and json.loads(out)["ok"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    ["epi", "--dom", "{bad}", "--cod", "{good}"],
+    ["check", "--family", "F", "--in", "{bad}"],
+    ["amalgamate", "--family", "F0", "--left", "{bad}", "--right", "{bad}"],
+    ["qp", "label", "--group", "Z2", "--labels", "{bad}"],
+    ["algebra", "--in", "{bad}", "--simple"],
+])
+def test_top_level_list_is_usage_error(tmp_path, capout, argv):
+    files = {"{bad}": write_json(tmp_path, "list.json", [1, 2]),
+             "{good}": structure_file(tmp_path, "xy.json", xy_member())}
+    rc, out = capout([files.get(a, a) for a in argv])
+    assert rc == 2 and "error" in json.loads(out)
 
 
 class TestDeterminism:

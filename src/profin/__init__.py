@@ -24,11 +24,10 @@ from .algebra import (BooleanPowerAlgebra, BooleanPowerSpace, FinAlgebra,
                       is_idempotent, is_simple, malcev_term_exists,
                       pin_closure_violation, preset_algebra,
                       preserves_operations)
-from .autgroup import (Hbar, Khat, ProductAut, TransconjInstance,
+from .autgroup import (Hbar, Khat, PowerAut, ProductAut, TransconjInstance,
                        conjugate, conjugation_identity_check,
                        cycle_cover_instance, decompose, elements_equal,
-                       function_space, hbar, khat, pinned_union_instance,
-                       qp_conjugator)
+                       function_space, pinned_union_instance, qp_conjugator)
 from .tower import Tower, TowerStatus, new_tower
 
 __version__ = "0.1.0"

@@ -1,15 +1,17 @@
 """Automorphism-style bijections of a finite power A^X pinned at marked
-points, split into coordinate shuffles and pointwise kernels, with the
-labelled conjugator construction turning kernel translates of a shuffle
-tuple into conjugates.
+points, and the labelled conjugator construction turning kernel translates
+of a shuffle tuple into conjugates.
 
-Composition convention is right-to-left: (u * v)(f) = u(v(f)), and the
-conjugate of h by c is c^-1 o h o c (c applied first).  Identities are
-decided by normal form: every element is hbar(d) o khat(k), and for
-|A| >= 2 the wreath product Sym(A) wr Sym(free X) acts faithfully on the
-free coordinates, so two elements are equal exactly when their normal
-forms are.  Evaluation on the full function space D (``function_space``
-and the ``act`` methods, the only users of numpy) is the test oracle.
+Every element is one ``PowerAut``, stored in its semidirect normal form
+hbar(d) o khat(k): a coordinate shuffle d of the free points after a
+pointwise kernel k.  ``Hbar`` and ``Khat`` are the validating constructors
+of the two factors.  Composition is right-to-left: (u * v)(f) = u(v(f)),
+and the conjugate of h by c is c^-1 o h o c (c applied first).  Products
+and inverses stay in normal form at O(|X|*|A|) cost, and for |A| >= 2 the
+wreath product Sym(A) wr Sym(free X) acts faithfully on the free
+coordinates, so two elements are equal exactly when their normal forms
+are.  Evaluation on the full function space D (``function_space`` and
+``PowerAut.act``, the only users of numpy) is the test oracle.
 
 Set-mode: the carrier A is a plain finite set and kernel values are
 arbitrary permutations of it.  Algebra-mode: A is a FinAlgebra and kernel
@@ -18,8 +20,9 @@ values must preserve its operations.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .algebra import BooleanPowerSpace, FinAlgebra, preserves_operations
@@ -70,151 +73,122 @@ def _carrier_size(carrier: FinAlgebra | int) -> int:
     return carrier.size if isinstance(carrier, FinAlgebra) else int(carrier)
 
 
-class AutElement:
-    """Bijection of the pinned function space D."""
+class PowerAut:
+    """Bijection hbar(perm) o khat(values) of the pinned function space D:
+    (g f)(x) = values[y](f(y)) with y = perm^-1(x), where ``perm`` fixes
+    the marked points and ``values`` holds a permutation of A at every
+    free point.  When |A| < 2, D is one function and the shuffle is
+    dropped, so ``==`` is equality as bijections of D.
+    """
 
-    def act(self, arr: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def inverse(self) -> "AutElement":
-        raise NotImplementedError
-
-    def _app_order(self) -> list["AutElement"]:
-        return [self]
-
-
-class Hbar(AutElement):
-    """Coordinate shuffle: (hbar f)(x) = f(psi^-1(x))."""
-
-    __slots__ = ("space", "a_size", "perm", "_inv_cols")
+    __slots__ = ("space", "a_size", "perm", "values")
 
     def __init__(self, space: BooleanPowerSpace, carrier: FinAlgebra | int,
-                 perm: Sequence[int]):
-        p = tuple(int(x) for x in perm)
-        if sorted(p) != list(range(space.points)):
-            raise ValueError("not a permutation of the point set")
-        for x in space.marked:
-            if p[x] != x:
-                raise ValueError(f"marked point {x} is moved")
+                 perm: Sequence[int], values: Mapping[int, tuple[int, ...]]):
         self.space = space
         self.a_size = _carrier_size(carrier)
-        self.perm = p
-        self._inv_cols = list(invert_perm(p))
+        self.perm = (tuple(perm) if self.a_size >= 2
+                     else tuple(range(space.points)))
+        self.values = dict(values)
+
+    def __mul__(self, other: "PowerAut") -> "PowerAut":
+        """Composition with ``self`` applied last."""
+        if (other.space, other.a_size) != (self.space, self.a_size):
+            raise ValueError("elements act on different function spaces")
+        d = other.perm
+        return PowerAut(self.space, self.a_size, compose_perms(self.perm, d),
+                        {x: compose_perms(self.values[d[x]], k)
+                         for x, k in other.values.items()})
+
+    def inverse(self) -> "PowerAut":
+        d = self.perm
+        return PowerAut(self.space, self.a_size, invert_perm(d),
+                        {d[x]: invert_perm(k) for x, k in self.values.items()})
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PowerAut):
+            return NotImplemented
+        return (self.space, self.a_size, self.perm, self.values) == \
+            (other.space, other.a_size, other.perm, other.values)
 
     def act(self, arr: np.ndarray) -> np.ndarray:
-        return arr[:, self._inv_cols]
-
-    def inverse(self) -> "Hbar":
-        return Hbar(self.space, self.a_size, invert_perm(self.perm))
-
-    def __repr__(self) -> str:
-        return f"Hbar({self.perm})"
-
-
-class Khat(AutElement):
-    """Pointwise kernel: (khat f)(x) = psi(x)(f(x)) off the marked points."""
-
-    __slots__ = ("space", "a_size", "values", "carrier")
-
-    def __init__(self, space: BooleanPowerSpace, carrier: FinAlgebra | int,
-                 values: Mapping[int, Sequence[int]]):
-        a_size = _carrier_size(carrier)
-        free = set(space.free_points())
-        vals: dict[int, tuple[int, ...]] = {}
-        for x in free:
-            if x not in values:
-                raise ValueError(f"kernel map misses point {x}")
-            p = tuple(int(v) for v in values[x])
-            if sorted(p) != list(range(a_size)):
-                raise ValueError(f"value at point {x} is not a permutation")
-            vals[x] = p
-        extra = set(values) - free
-        if extra:
-            raise ValueError(f"kernel map defined on marked points {extra}")
-        if isinstance(carrier, FinAlgebra):
-            for x, p in vals.items():
-                if not preserves_operations(carrier, p):
-                    raise ValueError(
-                        f"value at point {x} is not an automorphism")
-        self.space = space
-        self.a_size = a_size
-        self.values = vals
-        self.carrier = carrier
-
-    def act(self, arr: np.ndarray) -> np.ndarray:
+        """The element on every row of ``arr``; the evaluation oracle."""
         import numpy as np
         out = arr.copy()
         for x, p in self.values.items():
             out[:, x] = np.asarray(p, dtype=np.int16)[arr[:, x]]
-        return out
-
-    def inverse(self) -> "Khat":
-        return Khat(self.space, self.carrier,
-                    {x: invert_perm(p) for x, p in self.values.items()})
+        return out[:, list(invert_perm(self.perm))]
 
     def __repr__(self) -> str:
-        return f"Khat({len(self.values)} points)"
+        return f"PowerAut({self.perm}, {len(self.values)} kernel values)"
 
 
-class ProductAut(AutElement):
+def _identity_values(space: BooleanPowerSpace,
+                     a_size: int) -> dict[int, tuple[int, ...]]:
+    ident = tuple(range(a_size))
+    return {x: ident for x in space.free_points()}
+
+
+def Hbar(space: BooleanPowerSpace, carrier: FinAlgebra | int,
+         perm: Sequence[int]) -> PowerAut:
+    """Coordinate shuffle: (hbar f)(x) = f(perm^-1(x))."""
+    p = tuple(int(x) for x in perm)
+    if sorted(p) != list(range(space.points)):
+        raise ValueError("not a permutation of the point set")
+    for x in space.marked:
+        if p[x] != x:
+            raise ValueError(f"marked point {x} is moved")
+    return PowerAut(space, carrier, p,
+                    _identity_values(space, _carrier_size(carrier)))
+
+
+def Khat(space: BooleanPowerSpace, carrier: FinAlgebra | int,
+         values: Mapping[int, Sequence[int]]) -> PowerAut:
+    """Pointwise kernel: (khat f)(x) = values[x](f(x)) off the marked
+    points; over an algebra every value must be one of its automorphisms."""
+    a_size = _carrier_size(carrier)
+    free = set(space.free_points())
+    vals: dict[int, tuple[int, ...]] = {}
+    for x in free:
+        if x not in values:
+            raise ValueError(f"kernel map misses point {x}")
+        p = tuple(int(v) for v in values[x])
+        if sorted(p) != list(range(a_size)):
+            raise ValueError(f"value at point {x} is not a permutation")
+        vals[x] = p
+    extra = set(values) - free
+    if extra:
+        raise ValueError(f"kernel map defined on marked points {extra}")
+    if isinstance(carrier, FinAlgebra):
+        for x, p in vals.items():
+            if not preserves_operations(carrier, p):
+                raise ValueError(
+                    f"value at point {x} is not an automorphism")
+    return PowerAut(space, a_size, range(space.points), vals)
+
+
+def ProductAut(factors: Sequence[PowerAut]) -> PowerAut:
     """Composition of factors, rightmost applied first."""
-
-    __slots__ = ("factors",)
-
-    def __init__(self, factors: Sequence[AutElement]):
-        if not factors:
-            raise ValueError("empty product")
-        self.factors = tuple(factors)
-
-    def act(self, arr: np.ndarray) -> np.ndarray:
-        for f in reversed(self.factors):
-            arr = f.act(arr)
-        return arr
-
-    def inverse(self) -> "ProductAut":
-        return ProductAut([f.inverse() for f in reversed(self.factors)])
-
-    def _app_order(self) -> list[AutElement]:
-        out: list[AutElement] = []
-        for f in reversed(self.factors):
-            out.extend(f._app_order())
-        return out
-
-    def __repr__(self) -> str:
-        return f"ProductAut({len(self.factors)} factors)"
-
-
-def hbar(space: BooleanPowerSpace, carrier: FinAlgebra | int,
-         perm: Sequence[int]) -> Hbar:
-    return Hbar(space, carrier, perm)
-
-
-def khat(space: BooleanPowerSpace, carrier: FinAlgebra | int,
-         values: Mapping[int, Sequence[int]]) -> Khat:
-    return Khat(space, carrier, values)
+    if not factors:
+        raise ValueError("empty product")
+    return reduce(operator.mul, factors)
 
 
 def identity_khat(space: BooleanPowerSpace,
-                  carrier: FinAlgebra | int) -> Khat:
-    n = _carrier_size(carrier)
-    ident = tuple(range(n))
-    return Khat(space, carrier, {x: ident for x in space.free_points()})
+                  carrier: FinAlgebra | int) -> PowerAut:
+    return Khat(space, carrier,
+                _identity_values(space, _carrier_size(carrier)))
 
 
-def elements_equal(e1: AutElement, e2: AutElement, space: BooleanPowerSpace,
+def elements_equal(e1: PowerAut, e2: PowerAut, space: BooleanPowerSpace,
                    carrier: FinAlgebra | int) -> bool:
-    """Equality as bijections of D: D is one function when |A| < 2, and
-    otherwise equal maps have equal normal forms (with no free point, all
-    normal forms are equal)."""
-    if _carrier_size(carrier) < 2:
-        return True
-    (k1, d1), (k2, d2) = decompose(e1), decompose(e2)
-    return d1.perm == d2.perm and k1.values == k2.values
+    """Equality as bijections of D, decided by normal form."""
+    return e1 == e2
 
 
-def conjugate(h: AutElement, c: AutElement) -> ProductAut:
+def conjugate(h: PowerAut, c: PowerAut) -> PowerAut:
     """c^-1 o h o c, with c applied first."""
-    return ProductAut([c.inverse(), h, c])
+    return c.inverse() * h * c
 
 
 def conjugation_identity_check(space: BooleanPowerSpace,
@@ -226,42 +200,25 @@ def conjugation_identity_check(space: BooleanPowerSpace,
     Witnesses normality of the kernel side; decided by normal form.
     """
     h = Hbar(space, carrier, h_perm)
-    k = Khat(space, carrier, values)
     hinv = invert_perm(h.perm)
     moved = {x: values[hinv[x]] for x in space.free_points()}
-    lhs = ProductAut([h, k, h.inverse()])
-    rhs = Khat(space, carrier, moved)
-    return elements_equal(lhs, rhs, space, carrier)
+    return h * Khat(space, carrier, values) * h.inverse() == \
+        Khat(space, carrier, moved)
 
 
-def preserves_filtered_operations(elem: AutElement, a: FinAlgebra,
+def preserves_filtered_operations(elem: PowerAut, a: FinAlgebra,
                                   space: BooleanPowerSpace) -> bool:
     """The element is an algebra automorphism of D: shuffles preserve the
     pointwise operations and the free coordinates range over all of A, so
     exactly when every kernel value of its normal form is one of A."""
-    k_part, _ = decompose(elem)
-    return all(preserves_operations(a, p) for p in k_part.values.values())
+    return all(preserves_operations(a, p) for p in elem.values.values())
 
 
-def decompose(g: AutElement) -> tuple[Khat, Hbar]:
-    """Normal form g = hbar(d) o khat(k), in one pass over the factors.
-
-    Shuffles are pushed left through kernels with the conjugation identity
-    hbar^-1 khat(chi) hbar = khat(chi o h).  Evaluation on D is the oracle.
-    """
-    prims = g._app_order()
-    space, a_size = prims[0].space, prims[0].a_size  # type: ignore
-    d = tuple(range(space.points))
-    ident = tuple(range(a_size))
-    k = {x: ident for x in space.free_points()}
-    for w in prims:
-        if isinstance(w, Hbar):
-            d = compose_perms(w.perm, d)
-        elif isinstance(w, Khat):
-            k = {x: compose_perms(w.values[d[x]], k[x]) for x in k}
-        else:
-            raise ValueError(f"cannot decompose factor {w!r}")
-    return Khat(space, a_size, k), Hbar(space, a_size, d)
+def decompose(g: PowerAut) -> tuple[PowerAut, PowerAut]:
+    """Normal form g = hbar(d) o khat(k), as the pair (khat(k), hbar(d))."""
+    return (PowerAut(g.space, g.a_size, range(g.space.points), g.values),
+            PowerAut(g.space, g.a_size, g.perm,
+                     _identity_values(g.space, g.a_size)))
 
 
 @dataclass
@@ -287,7 +244,7 @@ class TransconjInstance:
     lam: Labelling
     mu: Labelling
     psi: dict[int, int]
-    kernel: tuple[Khat, ...]
+    kernel: tuple[PowerAut, ...]
 
     @property
     def m(self) -> int:
@@ -361,7 +318,7 @@ class TransconjInstance:
 
 
 def qp_conjugator(inst: TransconjInstance,
-                  carrier: FinAlgebra | int | None = None) -> Khat:
+                  carrier: FinAlgebra | int | None = None) -> PowerAut:
     """Kernel element c with a_i o hbar_i = c^-1 o hbar_i o c for all i.
 
     The instance is re-verified first; the conjugator value at x is the
@@ -378,13 +335,12 @@ def qp_conjugator(inst: TransconjInstance,
     return c
 
 
-def verify_conjugator(inst: TransconjInstance, c: Khat) -> None:
+def verify_conjugator(inst: TransconjInstance, c: PowerAut) -> None:
     """Check a_i o hbar_i = c^-1 o hbar_i o c for every relation i, by
     normal form, naming the first relation where it fails."""
     for i in range(inst.m):
         hb = Hbar(inst.space, inst.a_size, inst.h[i])
-        if not elements_equal(ProductAut([inst.kernel[i], hb]),
-                              conjugate(hb, c), inst.space, inst.a_size):
+        if inst.kernel[i] * hb != conjugate(hb, c):
             raise VerificationError(
                 f"translate/conjugate identity fails for relation {i}")
 
@@ -577,7 +533,7 @@ def pinned_union_instance(far: TransconjInstance, near: TransconjInstance,
     return inst, near_points
 
 
-def conjugator_values_in_stabiliser(c: Khat, points: frozenset[int],
+def conjugator_values_in_stabiliser(c: PowerAut, points: frozenset[int],
                                     pin: int) -> bool:
     return all(c.values[x][pin] == pin for x in points)
 
@@ -588,10 +544,10 @@ def mu_subgroup_check(inst: TransconjInstance) -> bool:
 
 
 __all__ = [
-    "AutElement", "Hbar", "Khat", "ProductAut", "TransconjInstance",
+    "Hbar", "Khat", "PowerAut", "ProductAut", "TransconjInstance",
     "check_action", "conjugate", "conjugation_identity_check",
     "conjugator_values_in_stabiliser", "cycle_cover_instance", "decompose",
-    "elements_equal", "function_space", "hbar", "identity_khat", "khat",
+    "elements_equal", "function_space", "identity_khat",
     "mu_subgroup_check", "natural_action", "pinned_union_instance",
     "preserves_filtered_operations", "qp_conjugator", "verify_conjugator",
 ]

@@ -17,8 +17,10 @@ from . import jsonio
 from .algebra import (BooleanPowerSpace, automorphisms, congruence_lattice,
                       filtered_boolean_power, is_idempotent,
                       malcev_term_exists, pin_closure_violation)
-from .autgroup import (Khat, cycle_cover_instance, natural_action,
-                       pinned_union_instance, qp_conjugator, verify_conjugator)
+from .autgroup import (Khat, PowerAut, conjugator_values_in_stabiliser,
+                       cycle_cover_instance, natural_action,
+                       pinned_union_instance, qp_conjugator, regular_action,
+                       verify_conjugator)
 from .errors import CapExhausted, VerificationError
 from .groups import Labelling, exponent, preset_group
 from .maps import (check_epimorphism, check_homomorphism, compose,
@@ -278,6 +280,8 @@ def _transconj_preset(name: str, seed: int):
         group = preset_group(gname)
         if gname == "Z2":
             action, a_size = ((0, 1), (1, 0)), 2
+        elif gname == "Z3":
+            action, a_size = regular_action(group), 3
         else:
             action, a_size = natural_action(group), 3
         sp = Spiral(2, 1, 2)
@@ -314,7 +318,7 @@ def _cmd_transconj(args) -> int:
             f"relation {i + 1}: translate equals conjugate")
     if near_pts is not None:
         pin = inst.space.pins[0]
-        ok = all(c.values[x][pin] == pin for x in near_pts)
+        ok = conjugator_values_in_stabiliser(c, near_pts, pin)
         transcript.append(f"near-block conjugator values stabilise pin: "
                           f"{ok}")
     transcript.append(f"identity verified over {d_count} functions")
@@ -332,33 +336,43 @@ def _cmd_transconj(args) -> int:
     return EXIT_OK
 
 
-def _cmd_tower(args) -> int:
-    doc = _load(args.tasks)
+def _tower_tasks(doc: Any) -> tuple[Any, list[tuple[str, Any, int, Any]]]:
+    """The seed structure of a tasks document and its tasks as (kind,
+    target or phi2, base stage, cap)."""
     seed = jsonio.structure_from_json(doc["seed"])
+    tasks = []
+    for task in doc.get("tasks", []):
+        kind = task["kind"]
+        if kind == "universality":
+            tasks.append((kind, jsonio.structure_from_json(task["target"]),
+                          0, task.get("cap")))
+        elif kind == "extension":
+            tasks.append((kind, jsonio.map_from_json(task["phi2"]),
+                          int(task.get("base_stage", 0)), task.get("cap")))
+        else:
+            raise _UsageError({"error": f"unknown task kind {kind!r}"})
+    return seed, tasks
+
+
+def _cmd_tower(args) -> int:
+    seed, tasks = _parse(_tower_tasks, args.tasks)
     tw = Tower.new(seed, stage_guard=args.guard)
     outcomes = []
-    for task in doc.get("tasks", []):
+    for kind, target, base, cap in tasks:
         if args.stages and len(tw.stages) >= args.stages:
-            outcomes.append({"task": task.get("kind"), "done": False,
+            outcomes.append({"task": kind, "done": False,
                              "reason": "stage limit reached"})
             continue
-        if task["kind"] == "universality":
-            target = jsonio.structure_from_json(task["target"])
-            ok = tw.discharge_universality(target, cap=task.get("cap"))
-            outcomes.append({"task": "universality", "done": ok})
-        elif task["kind"] == "extension":
-            phi2 = jsonio.map_from_json(task["phi2"])
-            base = int(task.get("base_stage", 0))
+        if kind == "universality":
+            ok = tw.discharge_universality(target, cap=cap)
+            outcomes.append({"task": kind, "done": ok})
+        else:
             phi1 = tw.bond_composite(base)
-            if phi2.codomain != tw.stages[base]:
+            if target.codomain != tw.stages[base]:
                 raise _UsageError({"error": "phi2 codomain is not the "
                                    f"declared stage {base}"})
-            rho = tw.discharge_extension(phi2=phi2, phi1=phi1,
-                                         cap=task.get("cap"))
-            outcomes.append({"task": "extension", "done": rho is not None})
-        else:
-            raise _UsageError({"error": f"unknown task kind "
-                               f"{task.get('kind')!r}"})
+            rho = tw.discharge_extension(phi2=target, phi1=phi1, cap=cap)
+            outcomes.append({"task": kind, "done": rho is not None})
     rounds = 0
     while tw.pending and rounds < args.retries:
         tw.retry_pending()
@@ -383,7 +397,7 @@ def _verify_map(cert: dict[str, Any]) -> bool:
     return check_epimorphism(phi)
 
 
-def _conjugator(inst, pairs: Any) -> Khat:
+def _conjugator(inst, pairs: Any) -> PowerAut:
     """A certificate's conjugator as a kernel element of the instance; one
     that is not a permutation at every free point fails verification."""
     values = {int(x): tuple(int(v) for v in p) for x, p in pairs}
@@ -424,7 +438,10 @@ def _check_certificate(kind: Any, cert: dict[str, Any]) -> tuple[bool, str]:
         if ok and kind == "pap":
             phi1 = jsonio.map_from_json(cert["phi1"])
             phi2 = jsonio.map_from_json(cert["phi2"])
-            ok = compose(phi1, psi1) == compose(phi2, psi2)
+            if (psi1.codomain, psi2.codomain) != (phi1.domain, phi2.domain):
+                ok, detail = False, "the square does not compose"
+            else:
+                ok = compose(phi1, psi1) == compose(phi2, psi2)
     elif kind == "transconj":
         inst = jsonio.instance_from_json(cert.get("instance", cert))
         try:

@@ -217,66 +217,41 @@ def spiral_qp_labelling(base: Spiral, lam: Labelling, component: int,
     return witness
 
 
-def _shortest_cycle_through(s: FinStructure, i: int, v: int) -> list[int]:
-    """Vertices of a shortest directed cycle through v, starting at v."""
-    parent = {v: None}
-    frontier = [v]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in s.out_neighbors(i, u):
-                if w == v:
-                    path = [u]
-                    while parent[path[-1]] is not None:
-                        path.append(parent[path[-1]])
-                    path.reverse()
-                    return path
-                if w not in parent:
-                    parent[w] = u
-                    nxt.append(w)
-        frontier = nxt
-    raise ValueError(f"vertex {v} lies on no directed cycle of relation {i}")
-
-
-def _shortest_path(s: FinStructure, i: int, src: int, dst: int) -> list[int]:
-    """Vertex list of a shortest directed path src .. dst (maybe [src])."""
-    if src == dst:
-        return [src]
-    parent = {src: None}
-    frontier = [src]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in s.out_neighbors(i, u):
-                if w not in parent:
-                    parent[w] = u
-                    if w == dst:
-                        path = [w]
-                        while parent[path[-1]] is not None:
-                            path.append(parent[path[-1]])
-                        path.reverse()
-                        return path
-                    nxt.append(w)
-        frontier = nxt
-    raise ValueError(f"no path {src} -> {dst} in relation {i}")
-
-
-def _bfs_distances(s: FinStructure, i: int, start: int,
-                   backward: bool) -> dict[int, int]:
-    """Edge-count distances from start, following edges or their reverses."""
-    dist = {start: 0}
+def _bfs(s: FinStructure, i: int, start: int,
+         backward: bool = False) -> dict[int, int | None]:
+    """Parent of every vertex reachable from start (None at start), set at
+    first discovery, following edges or their reverses; the keys are in
+    discovery order."""
+    parent: dict[int, int | None] = {start: None}
     frontier = [start]
     while frontier:
         nxt = []
         for u in frontier:
-            step = (s.in_neighbors(i, u) if backward
-                    else s.out_neighbors(i, u))
-            for w in step:
-                if w not in dist:
-                    dist[w] = dist[u] + 1
+            for w in (s.in_neighbors(i, u) if backward
+                      else s.out_neighbors(i, u)):
+                if w not in parent:
+                    parent[w] = u
                     nxt.append(w)
         frontier = nxt
-    return dist
+    return parent
+
+
+def _walk_back(parent: dict[int, int | None], v: int) -> list[int]:
+    """Vertices of the BFS tree path from the start to v."""
+    path = [v]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    path.reverse()
+    return path
+
+
+def _shortest_cycle_through(s: FinStructure, i: int, v: int) -> list[int]:
+    """Vertices of a shortest directed cycle through v, starting at v."""
+    parent = _bfs(s, i, v)
+    for u in parent:
+        if v in s.out_neighbors(i, u):
+            return _walk_back(parent, u)
+    raise ValueError(f"vertex {v} lies on no directed cycle of relation {i}")
 
 
 def reduct(s: FinStructure, i: int) -> FinStructure:
@@ -329,17 +304,19 @@ def spiral_cover_of_digraph(s: FinStructure, i: int) -> SpiralCover:
             components.append(
                 (spiral, StructMap(spiral.structure, target, walk_map)))
             continue
-        to_u = _bfs_distances(target, 0, u, backward=True)
-        from_v = _bfs_distances(target, 0, v, backward=False)
+        to_u = _bfs(target, 0, u, backward=True)
+        from_v = _bfs(target, 0, v)
         anc = min((z for z in cycle_verts if z in to_u),
-                  key=lambda z: (to_u[z] + len(cycle_at(z)), z))
+                  key=lambda z: (len(_walk_back(to_u, z))
+                                 + len(cycle_at(z)), z))
         dec = min((z for z in cycle_verts if z in from_v),
-                  key=lambda z: (from_v[z] + len(cycle_at(z)), z))
+                  key=lambda z: (len(_walk_back(from_v, z))
+                                 + len(cycle_at(z)), z))
         cyc_a = cycle_at(anc)
         cyc_c = cycle_at(dec)
         assert cyc_a is not None and cyc_c is not None
-        walk = _shortest_path(target, 0, anc, u) + \
-            _shortest_path(target, 0, v, dec)
+        walk = (_walk_back(_bfs(target, 0, anc), u)
+                + _walk_back(from_v, dec))
         p = len(cyc_a) if len(cyc_a) > 1 else 2
         r = len(cyc_c) if len(cyc_c) > 1 else 2
         q = len(walk)

@@ -208,7 +208,7 @@ def test_criterion_6_translate_to_conjugate():
     for inst in instances:
         c = pf.qp_conjugator(inst)
         for i in range(inst.m):
-            hb = pf.hbar(inst.space, inst.a_size, inst.h[i])
+            hb = pf.Hbar(inst.space, inst.a_size, inst.h[i])
             lhs = pf.ProductAut([inst.kernel[i], hb])
             if not pf.elements_equal(lhs, conjugate(hb, c), inst.space,
                                      inst.a_size):
@@ -255,15 +255,15 @@ def test_criterion_7_semidirect_identities():
         for x, y in zip(free, img2):
             h2[x] = y
         h2 = tuple(h2)
-        lhs = pf.ProductAut([pf.hbar(space, a_size, h),
-                             pf.hbar(space, a_size, h2)])
-        rhs = pf.hbar(space, a_size, compose_perms(h, h2))
+        lhs = pf.ProductAut([pf.Hbar(space, a_size, h),
+                             pf.Hbar(space, a_size, h2)])
+        rhs = pf.Hbar(space, a_size, compose_perms(h, h2))
         if not pf.elements_equal(lhs, rhs, space, a_size):
             ok = False
         values2 = {x: rand_perm(a_size) for x in free}
-        lhs = pf.ProductAut([pf.khat(space, a_size, values),
-                             pf.khat(space, a_size, values2)])
-        rhs = pf.khat(space, a_size,
+        lhs = pf.ProductAut([pf.Khat(space, a_size, values),
+                             pf.Khat(space, a_size, values2)])
+        rhs = pf.Khat(space, a_size,
                       {x: compose_perms(values[x], values2[x])
                        for x in free})
         if not pf.elements_equal(lhs, rhs, space, a_size):
@@ -271,8 +271,8 @@ def test_criterion_7_semidirect_identities():
         # pin preservation
         if marked:
             table = pf.function_space(space, a_size)
-            out = pf.khat(space, a_size, values).act(
-                pf.hbar(space, a_size, h).act(table))
+            out = pf.Khat(space, a_size, values).act(
+                pf.Hbar(space, a_size, h).act(table))
             if set(out[:, marked[0]].tolist()) != {pins[0]}:
                 ok = False
     # K-H intersection probe at small sizes
@@ -284,8 +284,8 @@ def test_criterion_7_semidirect_identities():
         for bits in range(8):
             values = {x: ((1, 0) if bits >> x & 1 else (0, 1))
                       for x in range(3)}
-            same = np.array_equal(pf.hbar(space, 2, h).act(table),
-                                  pf.khat(space, 2, values).act(table))
+            same = np.array_equal(pf.Hbar(space, 2, h).act(table),
+                                  pf.Khat(space, 2, values).act(table))
             if same and (h != (0, 1, 2) or bits != 0):
                 ok = False
     elapsed = time.time() - t0

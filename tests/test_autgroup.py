@@ -43,10 +43,31 @@ def rand_kernel(rng, sp, a_size):
     return {x: rand_perm(rng, a_size) for x in sp.free_points()}
 
 
-def evaluated_equal(e1, e2, sp, a_size):
-    """Oracle: the two elements agree on every function of D."""
+def inverse_factors(sp, a_size, factors):
+    """Factor list of the inverse, each primitive inverted directly."""
+    out = []
+    for f in reversed(factors):
+        if f.perm != tuple(range(sp.points)):
+            out.append(pf.Hbar(sp, a_size, invert_perm(f.perm)))
+        else:
+            out.append(pf.Khat(sp, a_size, {x: invert_perm(p)
+                                            for x, p in f.values.items()}))
+    return out
+
+
+def evaluate(factors, sp, a_size):
+    """Oracle: apply the primitive factors one at a time, rightmost first,
+    to every function of D."""
     table = function_space(sp, a_size)
-    return np.array_equal(e1.act(table), e2.act(table))
+    for f in reversed(factors):
+        table = f.act(table)
+    return table
+
+
+def evaluated_equal(fs1, fs2, sp, a_size):
+    """Oracle: the two factor lists agree on every function of D."""
+    return np.array_equal(evaluate(fs1, sp, a_size),
+                          evaluate(fs2, sp, a_size))
 
 
 def rand_space(rng):
@@ -66,47 +87,56 @@ def rand_space(rng):
 
 def rand_element(rng, sp, a_size, depth=2):
     """Random product of shuffles, kernels, inverses, conjugates and
-    nested products."""
-    factors = []
+    nested products, built with the operations under test, together with
+    its list of primitive factors (shuffles and kernels)."""
+    elems, factors = [], []
     for _ in range(rng.randint(1, 4)):
         roll = rng.random() if depth else rng.random() * 0.6
         if roll < 0.3:
-            f = pf.hbar(sp, a_size, rand_fixing_perm(rng, sp))
+            f = pf.Hbar(sp, a_size, rand_fixing_perm(rng, sp))
+            fs = [f]
         elif roll < 0.6:
-            f = pf.khat(sp, a_size, rand_kernel(rng, sp, a_size))
+            f = pf.Khat(sp, a_size, rand_kernel(rng, sp, a_size))
+            fs = [f]
         elif roll < 0.75:
-            f = rand_element(rng, sp, a_size, depth - 1).inverse()
+            g, gs = rand_element(rng, sp, a_size, depth - 1)
+            f, fs = g.inverse(), inverse_factors(sp, a_size, gs)
         elif roll < 0.9:
-            f = conjugate(rand_element(rng, sp, a_size, depth - 1),
-                          rand_element(rng, sp, a_size, depth - 1))
+            g, gs = rand_element(rng, sp, a_size, depth - 1)
+            c, cs = rand_element(rng, sp, a_size, depth - 1)
+            f = conjugate(g, c)
+            fs = inverse_factors(sp, a_size, cs) + gs + cs
         else:
-            f = rand_element(rng, sp, a_size, depth - 1)
-        factors.append(f)
-    return ProductAut(factors)
+            f, fs = rand_element(rng, sp, a_size, depth - 1)
+        elems.append(f)
+        factors.extend(fs)
+    return ProductAut(elems), factors
 
 
-def same_element(rng, g, sp, a_size):
-    """Another expression of g: cancelling pairs, double conjugation,
-    double inverse or regrouping."""
-    h = rand_element(rng, sp, a_size, 1)
+def same_element(rng, g, gs, sp, a_size):
+    """Another expression of g, with its factors: cancelling pairs, double
+    conjugation, double inverse or regrouping."""
+    h, hs = rand_element(rng, sp, a_size, 1)
+    hinv = inverse_factors(sp, a_size, hs)
     roll = rng.randrange(5)
     if roll == 0:
-        return ProductAut([g, h, h.inverse()])
+        return ProductAut([g, h, h.inverse()]), gs + hs + hinv
     if roll == 1:
-        return ProductAut([h.inverse(), h, g])
+        return ProductAut([h.inverse(), h, g]), hinv + hs + gs
     if roll == 2:
-        return conjugate(conjugate(g, h), h.inverse())
+        return (conjugate(conjugate(g, h), h.inverse()),
+                hs + hinv + gs + hs + hinv)
     if roll == 3:
-        return g.inverse().inverse()
-    cut = rng.randint(1, len(g.factors))
-    return ProductAut([ProductAut(g.factors[:cut])] + list(g.factors[cut:]))
+        return g.inverse().inverse(), gs
+    cut = rng.randint(1, len(gs))
+    return ProductAut([ProductAut(gs[:cut])] + gs[cut:]), gs
 
 
 def one_kernel_value_off(sp, a_size, x):
     """Kernel that swaps two elements of A at point x only."""
     ident = tuple(range(a_size))
     swap = (1, 0) + ident[2:]
-    return pf.khat(sp, a_size, {y: swap if y == x else ident
+    return pf.Khat(sp, a_size, {y: swap if y == x else ident
                                 for y in sp.free_points()})
 
 
@@ -116,11 +146,11 @@ def one_transposition(sp, x, y):
     return tuple(p)
 
 
-def preserves_by_evaluation(elem, a, sp):
-    """Oracle: elem permutes D and commutes with every operation of the
-    power on every tuple of arguments from D."""
+def preserves_by_evaluation(factors, a, sp):
+    """Oracle: the product of the factors permutes D and commutes with
+    every operation of the power on every tuple of arguments from D."""
     table = function_space(sp, a.size)
-    image = elem.act(table)
+    image = evaluate(factors, sp, a.size)
     rows = {tuple(int(v) for v in row): k for k, row in enumerate(table)}
     perm = [rows[tuple(int(v) for v in row)] for row in image]
     if sorted(perm) != list(range(len(table))):
@@ -169,23 +199,36 @@ class TestNormalFormAgainstEvaluation:
         equal = unequal = 0
         for _ in range(600):
             sp, a_size = rand_space(rng)
-            g = rand_element(rng, sp, a_size)
-            other = (same_element(rng, g, sp, a_size) if rng.random() < 0.6
-                     else rand_element(rng, sp, a_size))
-            want = evaluated_equal(g, other, sp, a_size)
+            g, gs = rand_element(rng, sp, a_size)
+            other, others = (same_element(rng, g, gs, sp, a_size)
+                             if rng.random() < 0.6
+                             else rand_element(rng, sp, a_size))
+            want = evaluated_equal(gs, others, sp, a_size)
             assert pf.elements_equal(g, other, sp, a_size) == want
             equal += want
             unequal += not want
         assert equal > 300 and unequal > 100
+
+    def test_element_acts_as_its_factors(self):
+        rng = random.Random(4407)
+        for _ in range(300):
+            sp, a_size = rand_space(rng)
+            g, gs = rand_element(rng, sp, a_size)
+            if rng.random() < 0.5:
+                g, gs = same_element(rng, g, gs, sp, a_size)
+            want = evaluate(gs, sp, a_size)
+            table = function_space(sp, a_size)
+            assert np.array_equal(g.act(table), want)
+            assert np.array_equal(ProductAut(gs).act(table), want)
 
     def test_single_function_spaces_are_all_equal(self):
         rng = random.Random(4402)
         for sp, a_size in [(space(3), 1), (space(2, (0, 1), (1, 0)), 2),
                            (space(4, (1,), (0,)), 1)]:
             for _ in range(10):
-                g = rand_element(rng, sp, a_size)
-                h = rand_element(rng, sp, a_size)
-                assert evaluated_equal(g, h, sp, a_size)
+                g, gs = rand_element(rng, sp, a_size)
+                h, hs = rand_element(rng, sp, a_size)
+                assert evaluated_equal(gs, hs, sp, a_size)
                 assert pf.elements_equal(g, h, sp, a_size)
 
     def test_one_kernel_value_apart(self):
@@ -195,10 +238,11 @@ class TestNormalFormAgainstEvaluation:
             free = sp.free_points()
             if a_size < 2 or not free:
                 continue
-            g = rand_element(rng, sp, a_size)
+            g, gs = rand_element(rng, sp, a_size)
             k = one_kernel_value_off(sp, a_size, rng.choice(free))
-            for off in (ProductAut([g, k]), ProductAut([k, g])):
-                assert not evaluated_equal(g, off, sp, a_size)
+            for off, offs in ((ProductAut([g, k]), gs + [k]),
+                              (ProductAut([k, g]), [k] + gs)):
+                assert not evaluated_equal(gs, offs, sp, a_size)
                 assert not pf.elements_equal(g, off, sp, a_size)
 
     def test_one_shuffle_transposition_apart(self):
@@ -208,21 +252,21 @@ class TestNormalFormAgainstEvaluation:
             free = sp.free_points()
             if a_size < 2 or len(free) < 2:
                 continue
-            g = rand_element(rng, sp, a_size)
-            t = pf.hbar(sp, a_size, one_transposition(sp, *rng.sample(
+            g, gs = rand_element(rng, sp, a_size)
+            t = pf.Hbar(sp, a_size, one_transposition(sp, *rng.sample(
                 free, 2)))
-            for off in (ProductAut([g, t]), ProductAut([t, g])):
-                assert not evaluated_equal(g, off, sp, a_size)
+            for off, offs in ((ProductAut([g, t]), gs + [t]),
+                              (ProductAut([t, g]), [t] + gs)):
+                assert not evaluated_equal(gs, offs, sp, a_size)
                 assert not pf.elements_equal(g, off, sp, a_size)
 
     def test_decompose_matches_evaluation(self):
         rng = random.Random(4405)
         for _ in range(300):
             sp, a_size = rand_space(rng)
-            g = rand_element(rng, sp, a_size)
+            g, gs = rand_element(rng, sp, a_size)
             k_part, d_part = pf.decompose(g)
-            assert evaluated_equal(g, ProductAut([d_part, k_part]), sp,
-                                   a_size)
+            assert evaluated_equal(gs, [d_part, k_part], sp, a_size)
 
     @pytest.mark.parametrize("preset", ALGEBRA_PRESETS)
     def test_preserves_filtered_operations(self, preset):
@@ -240,17 +284,18 @@ class TestNormalFormAgainstEvaluation:
             factors = []
             for _ in range(rng.randint(1, 3)):
                 if rng.random() < 0.4:
-                    factors.append(pf.hbar(sp, a.size,
+                    factors.append(pf.Hbar(sp, a.size,
                                            rand_fixing_perm(rng, sp)))
                 else:
-                    factors.append(pf.khat(sp, a.size, {
+                    factors.append(pf.Khat(sp, a.size, {
                         x: (rng.choice(autos) if rng.random() < 0.7
                             else rand_perm(rng, a.size))
                         for x in sp.free_points()}))
             g = ProductAut(factors)
             if rng.random() < 0.3:
                 g = g.inverse()
-            want = preserves_by_evaluation(g, a, sp)
+                factors = inverse_factors(sp, a.size, factors)
+            want = preserves_by_evaluation(factors, a, sp)
             assert preserves_filtered_operations(g, a, sp) == want
             found.add(want)
         assert found == {True, False}
@@ -260,13 +305,13 @@ class TestHbar:
     def test_identity(self):
         sp = space(3)
         table = function_space(sp, 2)
-        h = pf.hbar(sp, 2, (0, 1, 2))
+        h = pf.Hbar(sp, 2, (0, 1, 2))
         assert np.array_equal(h.act(table), table)
 
     def test_swap_is_coordinate_swap(self):
         sp = space(2)
         table = function_space(sp, 3)
-        h = pf.hbar(sp, 3, (1, 0))
+        h = pf.Hbar(sp, 3, (1, 0))
         swapped = h.act(table)
         assert np.array_equal(swapped[:, 0], table[:, 1])
         assert np.array_equal(swapped[:, 1], table[:, 0])
@@ -274,14 +319,14 @@ class TestHbar:
     def test_marked_point_must_stay(self):
         sp = space(2, marked=(0,), pins=(0,))
         with pytest.raises(ValueError):
-            pf.hbar(sp, 2, (1, 0))
+            pf.Hbar(sp, 2, (1, 0))
 
     def test_group_embedding(self, rng):
         sp = space(3)
         for _ in range(20):
             p1, p2 = rand_perm(rng, 3), rand_perm(rng, 3)
-            lhs = ProductAut([pf.hbar(sp, 2, p1), pf.hbar(sp, 2, p2)])
-            rhs = pf.hbar(sp, 2, compose_perms(p1, p2))
+            lhs = ProductAut([pf.Hbar(sp, 2, p1), pf.Hbar(sp, 2, p2)])
+            rhs = pf.Hbar(sp, 2, compose_perms(p1, p2))
             assert pf.elements_equal(lhs, rhs, sp, 2)
 
 
@@ -294,7 +339,7 @@ class TestKhat:
 
     def test_single_point_acts_as_sigma(self):
         sp = space(1)
-        k = pf.khat(sp, 3, {0: (1, 2, 0)})
+        k = pf.Khat(sp, 3, {0: (1, 2, 0)})
         table = function_space(sp, 3)
         out = k.act(table)
         assert out[:, 0].tolist() == [1, 2, 0]
@@ -302,26 +347,26 @@ class TestKhat:
     def test_pins_untouched(self, rng):
         sp = space(3, marked=(2,), pins=(1,))
         for _ in range(10):
-            k = pf.khat(sp, 2, rand_kernel(rng, sp, 2))
+            k = pf.Khat(sp, 2, rand_kernel(rng, sp, 2))
             out = k.act(function_space(sp, 2))
             assert set(out[:, 2].tolist()) == {1}
 
     def test_non_permutation_rejected(self):
         sp = space(1)
         with pytest.raises(ValueError):
-            pf.khat(sp, 2, {0: (0, 0)})
+            pf.Khat(sp, 2, {0: (0, 0)})
 
     def test_algebra_mode_requires_automorphisms(self):
         sp = space(1)
         a = pf.preset_algebra("Z3")
-        pf.khat(sp, a, {0: (0, 2, 1)})
+        pf.Khat(sp, a, {0: (0, 2, 1)})
         with pytest.raises(ValueError):
-            pf.khat(sp, a, {0: (1, 0, 2)})
+            pf.Khat(sp, a, {0: (1, 0, 2)})
 
     def test_algebra_mode_preserves_filtered_power(self):
         a = pf.preset_algebra("Z3")
         sp = space(2, marked=(0,), pins=(0,))
-        k = pf.khat(sp, a, {1: (0, 2, 1)})
+        k = pf.Khat(sp, a, {1: (0, 2, 1)})
         assert preserves_filtered_operations(k, a, sp)
 
     def test_group_embedding_pointwise(self, rng):
@@ -329,8 +374,8 @@ class TestKhat:
         for _ in range(20):
             k1 = rand_kernel(rng, sp, 3)
             k2 = rand_kernel(rng, sp, 3)
-            lhs = ProductAut([pf.khat(sp, 3, k1), pf.khat(sp, 3, k2)])
-            rhs = pf.khat(sp, 3, {x: compose_perms(k1[x], k2[x])
+            lhs = ProductAut([pf.Khat(sp, 3, k1), pf.Khat(sp, 3, k2)])
+            rhs = pf.Khat(sp, 3, {x: compose_perms(k1[x], k2[x])
                                   for x in k1})
             assert pf.elements_equal(lhs, rhs, sp, 3)
 
@@ -360,11 +405,11 @@ class TestConjugationIdentity:
         flip = (1, 0)
         ident2 = (0, 1)
         for h_perm in permutations(range(3)):
-            h = pf.hbar(sp, 2, h_perm)
+            h = pf.Hbar(sp, 2, h_perm)
             for bits in range(8):
                 values = {x: (flip if bits >> x & 1 else ident2)
                           for x in range(3)}
-                k = pf.khat(sp, 2, values)
+                k = pf.Khat(sp, 2, values)
                 if np.array_equal(h.act(table), k.act(table)):
                     assert h_perm == ident
                     assert all(v == ident2 for v in values.values())
@@ -373,7 +418,7 @@ class TestConjugationIdentity:
 class TestDecompose:
     def test_pure_shuffle(self, rng):
         sp = space(3)
-        h = pf.hbar(sp, 2, rand_perm(rng, 3))
+        h = pf.Hbar(sp, 2, rand_perm(rng, 3))
         k_part, d_part = pf.decompose(ProductAut([h]))
         assert d_part.perm == h.perm
         assert all(v == (0, 1) for v in k_part.values.values())
@@ -384,26 +429,26 @@ class TestDecompose:
             factors = []
             for _ in range(rng.randint(1, 4)):
                 if rng.random() < 0.5:
-                    factors.append(pf.hbar(sp, 2, rand_perm(rng, 3)))
+                    factors.append(pf.Hbar(sp, 2, rand_perm(rng, 3)))
                 else:
-                    factors.append(pf.khat(sp, 2, rand_kernel(rng, sp, 2)))
+                    factors.append(pf.Khat(sp, 2, rand_kernel(rng, sp, 2)))
             g = ProductAut(factors)
             k_part, d_part = pf.decompose(g)
-            assert evaluated_equal(g, ProductAut([d_part, k_part]), sp, 2)
+            assert evaluated_equal(factors, [d_part, k_part], sp, 2)
 
     def test_conjugate_shuffle_k_part_formula(self, rng):
         # h^(dc) = c^-1 (h^d c (h^d)^-1) h^d: the k-part of the conjugate
         sp = space(3)
         for _ in range(10):
-            h = pf.hbar(sp, 2, rand_perm(rng, 3))
-            d = pf.hbar(sp, 2, rand_perm(rng, 3))
-            c = pf.khat(sp, 2, rand_kernel(rng, sp, 2))
+            h = pf.Hbar(sp, 2, rand_perm(rng, 3))
+            d = pf.Hbar(sp, 2, rand_perm(rng, 3))
+            c = pf.Khat(sp, 2, rand_kernel(rng, sp, 2))
             g = ProductAut([d, c])
             k_part, d_part = pf.decompose(conjugate(h, g))
             u = compose_perms(compose_perms(invert_perm(d.perm), h.perm),
                               d.perm)
             assert d_part.perm == u
-            hd = pf.hbar(sp, 2, u)
+            hd = pf.Hbar(sp, 2, u)
             formula = ProductAut([hd.inverse(), c.inverse(), hd, c])
             assert pf.elements_equal(ProductAut([k_part]), formula, sp, 2)
 
@@ -487,7 +532,7 @@ class TestQpConjugator:
         inst = pf.cycle_cover_instance(2, 1, 2, group, action, 2,
                                        worked_lam(group))
         c = pf.qp_conjugator(inst)
-        hb = pf.hbar(inst.space, 2, inst.h[0])
+        hb = pf.Hbar(inst.space, 2, inst.h[0])
         lhs = ProductAut([inst.kernel[0], hb])
         assert pf.elements_equal(lhs, conjugate(hb, c), inst.space, 2)
 
@@ -504,7 +549,7 @@ class TestQpConjugator:
                                        worked_lam(s3), ell=2)
         assert len(inst.space.free_points()) == 24
         c = pf.qp_conjugator(inst)
-        hb = pf.hbar(inst.space, 3, inst.h[0])
+        hb = pf.Hbar(inst.space, 3, inst.h[0])
         lhs = ProductAut([inst.kernel[0], hb])
         assert pf.elements_equal(lhs, conjugate(hb, c), inst.space, 3)
         off = ProductAut([c, one_kernel_value_off(inst.space, 3, 0)])
@@ -520,7 +565,7 @@ class TestQpConjugator:
         inst = pf.cycle_cover_instance(2, 1, 2, z3, regular_action(z3), 3,
                                        worked_lam(z3))
         c = pf.qp_conjugator(inst)
-        hb = pf.hbar(inst.space, 3, inst.h[0])
+        hb = pf.Hbar(inst.space, 3, inst.h[0])
         lhs = ProductAut([inst.kernel[0], hb])
         assert pf.elements_equal(lhs, conjugate(hb, c), inst.space, 3)
         assert not pf.elements_equal(

@@ -154,6 +154,12 @@ class TestAmalgamate:
         cert = write_json(tmp_path, "w.json", payload)
         rc2, out2 = capout(["verify", "--in", cert])
         assert rc2 == 0 and json.loads(out2)["ok"] is True
+        # phi1 and phi2 swapped: the witness square no longer composes
+        payload["phi1"], payload["phi2"] = payload["phi2"], payload["phi1"]
+        forged = write_json(tmp_path, "forged.json", payload)
+        rc3, out3 = capout(["verify", "--in", forged])
+        verdict = json.loads(out3)
+        assert rc3 == 1 and verdict["ok"] is False and verdict["detail"]
 
 
 class TestQp:
@@ -229,6 +235,16 @@ class TestTransconj:
                           "--seed", "1", "--dot"])
         assert rc == 0
         assert "digraph" in out and "|" in out
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_z3_demo_verifies(self, tmp_path, capout, seed):
+        # Z3 carries no permutation realization; it acts on its own elements
+        rc, out = capout(["transconj", "demo", "--preset", "z3-spiral",
+                          "--seed", str(seed)])
+        assert rc == 0
+        cert = write_json(tmp_path, "tc.json", json.loads(out))
+        rc2, out2 = capout(["verify", "--in", cert])
+        assert rc2 == 0 and json.loads(out2)["ok"] is True
 
 
 class TestTower:
@@ -358,12 +374,25 @@ class TestVerifyRejectsTampering:
     ["amalgamate", "--family", "F0", "--left", "{bad}", "--right", "{bad}"],
     ["qp", "label", "--group", "Z2", "--labels", "{bad}"],
     ["algebra", "--in", "{bad}", "--simple"],
+    ["tower", "grow", "--tasks", "{bad}"],
 ])
 def test_top_level_list_is_usage_error(tmp_path, capout, argv):
     files = {"{bad}": write_json(tmp_path, "list.json", [1, 2]),
              "{good}": structure_file(tmp_path, "xy.json", xy_member())}
     rc, out = capout([files.get(a, a) for a in argv])
     assert rc == 2 and "error" in json.loads(out)
+
+
+@pytest.mark.parametrize("doc", [
+    {"seed": 3}, {"seed": "{xy}", "tasks": [{"target": "{xy}"}]},
+    {"seed": "{xy}", "tasks": [5]}])
+def test_tower_tasks_of_wrong_shape_are_usage_errors(tmp_path, capout, doc):
+    xy = jsonio.structure_to_json(pf.expand_constants(xy_member(), 1))
+    text = json.dumps(doc).replace('"{xy}"', json.dumps(xy))
+    path = tmp_path / "tasks.json"
+    path.write_text(text)
+    rc, out = capout(["tower", "grow", "--tasks", str(path)])
+    assert rc == 2 and "malformed" in json.loads(out)["error"]
 
 
 class TestDeterminism:

@@ -336,6 +336,15 @@ def _cmd_transconj(args) -> int:
     return EXIT_OK
 
 
+def _task_int(task: Any, key: str, least: int, default: Any) -> Any:
+    """A task's integer ``key`` (never a bool), at least ``least``."""
+    val = task.get(key, default)
+    if key in task and (type(val) is not int or val < least):
+        raise TypeError(f"task {key} must be an integer >= {least}, "
+                        f"got {val!r}")
+    return val
+
+
 def _tower_tasks(doc: Any) -> tuple[Any, list[tuple[str, Any, int, Any]]]:
     """The seed structure of a tasks document and its tasks as (kind,
     target or phi2, base stage, cap)."""
@@ -343,12 +352,13 @@ def _tower_tasks(doc: Any) -> tuple[Any, list[tuple[str, Any, int, Any]]]:
     tasks = []
     for task in doc.get("tasks", []):
         kind = task["kind"]
+        cap = _task_int(task, "cap", 1, None)
         if kind == "universality":
             tasks.append((kind, jsonio.structure_from_json(task["target"]),
-                          0, task.get("cap")))
+                          0, cap))
         elif kind == "extension":
             tasks.append((kind, jsonio.map_from_json(task["phi2"]),
-                          int(task.get("base_stage", 0)), task.get("cap")))
+                          _task_int(task, "base_stage", 0, 0), cap))
         else:
             raise _UsageError({"error": f"unknown task kind {kind!r}"})
     return seed, tasks

@@ -121,11 +121,6 @@ def algebra_from_json(d: Mapping[str, Any] | str) -> FinAlgebra:
                       [(int(op["arity"]), op["table"]) for op in d["ops"]])
 
 
-def partition_to_json(p: Partition, s: FinStructure) -> list[list[str]]:
-    names = _names(s)
-    return [sorted(names[v] for v in blk) for blk in p.blocks]
-
-
 def structure_to_dot(s: FinStructure, node_notes: Mapping[int, str]
                      | None = None) -> str:
     """Stable DOT rendering: one color per relation, double circles for

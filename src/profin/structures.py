@@ -27,7 +27,7 @@ class FinStructure:
     """Finite structure: vertex set, m binary relations, n constants."""
 
     __slots__ = ("m", "vertices", "relations", "constants", "labels",
-                 "_out", "_in", "_hash")
+                 "_out", "_in", "_hash", "_membership")
 
     def __init__(
         self,
@@ -65,6 +65,7 @@ class FinStructure:
         self._out: tuple[dict[int, tuple[int, ...]], ...] | None = None
         self._in: tuple[dict[int, tuple[int, ...]], ...] | None = None
         self._hash: int | None = None
+        self._membership: dict[str, MembershipReport] = {}
 
     @property
     def n(self) -> int:
@@ -79,8 +80,6 @@ class FinStructure:
         return str(v)
 
     def _adjacency(self) -> None:
-        if self._out is not None:
-            return
         outs, ins = [], []
         for rel in self.relations:
             o: dict[int, list[int]] = {v: [] for v in self.vertices}
@@ -94,13 +93,13 @@ class FinStructure:
         self._in = tuple(ins)
 
     def out_neighbors(self, i: int, v: int) -> tuple[int, ...]:
-        self._adjacency()
-        assert self._out is not None
+        if self._out is None:
+            self._adjacency()
         return self._out[i][v]
 
     def in_neighbors(self, i: int, v: int) -> tuple[int, ...]:
-        self._adjacency()
-        assert self._in is not None
+        if self._out is None:
+            self._adjacency()
         return self._in[i][v]
 
     def __eq__(self, other: object) -> bool:
@@ -300,8 +299,9 @@ def _check_f(s: FinStructure, family: str) -> MembershipReport:
     rep = _check_f0(s, family)
     if not rep:
         return rep
+    tags_of = {}
     for v in s.sorted_vertices():
-        tags = outgoing_classification(s, v)
+        tags = tags_of[v] = outgoing_classification(s, v)
         if len(tags) != 1:
             return MembershipReport(
                 False, family,
@@ -309,9 +309,7 @@ def _check_f(s: FinStructure, family: str) -> MembershipReport:
                 "expected exactly 1", vertex=v)
     for i in range(s.m):
         for a, b in sorted(s.relations[i]):
-            a_out = (i, FWD) in outgoing_classification(s, a)
-            b_out = (i, INV) in outgoing_classification(s, b)
-            if not (a_out or b_out):
+            if (i, FWD) not in tags_of[a] and (i, INV) not in tags_of[b]:
                 return MembershipReport(
                     False, family,
                     "edge has neither an outgoing tail nor a converse-"
@@ -325,8 +323,15 @@ def in_family(s: FinStructure, family: str) -> MembershipReport:
     F0: all relations surjective.  F: F0 plus the two outgoing conditions.
     F0n: the constant-free reduct is in F0 and every constant carries a loop
     in every relation.  Fn: constants are distinct singleton loop components
-    and the non-constant part is in F.
+    and the non-constant part is in F.  The report is kept on the structure.
     """
+    rep = s._membership.get(family)
+    if rep is None:
+        rep = s._membership[family] = _membership(s, family)
+    return rep
+
+
+def _membership(s: FinStructure, family: str) -> MembershipReport:
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     if family in (F0, F):
@@ -374,12 +379,7 @@ def in_family(s: FinStructure, family: str) -> MembershipReport:
     rest = s.vertices - cset
     if not rest:
         return MembershipReport(False, family, "no non-constant part")
-    core = induced(s, rest, keep_constants=False)
-    rep = _check_f(core, family)
-    if not rep:
-        return MembershipReport(False, family, rep.reason, vertex=rep.vertex,
-                                relation=rep.relation, edge=rep.edge)
-    return MembershipReport(True, family)
+    return _check_f(induced(s, rest, keep_constants=False), family)
 
 
 def expand_constants(s: FinStructure, k: int) -> FinStructure:

@@ -352,6 +352,10 @@ def test_criterion_9_tower_integrity():
     for stage in tower.stages:
         if not pf.in_family(stage, pf.FN).ok:
             ok = False
+    for hi in range(len(tower.stages)):
+        for lo in range(hi):
+            if not pf.check_epimorphism(tower.bond_composite(lo, hi)):
+                ok = False
     for depth in range(len(tower.stages)):
         if tower.constant_thread_count(depth) != 1:
             ok = False

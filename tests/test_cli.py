@@ -385,10 +385,19 @@ def test_top_level_list_is_usage_error(tmp_path, capout, argv):
 
 @pytest.mark.parametrize("doc", [
     {"seed": 3}, {"seed": "{xy}", "tasks": [{"target": "{xy}"}]},
-    {"seed": "{xy}", "tasks": [5]}])
+    {"seed": "{xy}", "tasks": [5]},
+    *({"seed": "{xy}", "tasks": [{"kind": "universality", "target": "{xy}",
+                                  "cap": cap}]}
+      for cap in ("x", [1], 2.5, True, 0, -3, None)),
+    *({"seed": "{xy}", "tasks": [{"kind": "extension", "base_stage": base,
+                                  "phi2": "{id}"}]}
+      for base in (0.0, 1.5, False, -1, "0"))])
 def test_tower_tasks_of_wrong_shape_are_usage_errors(tmp_path, capout, doc):
-    xy = jsonio.structure_to_json(pf.expand_constants(xy_member(), 1))
-    text = json.dumps(doc).replace('"{xy}"', json.dumps(xy))
+    seed = pf.expand_constants(xy_member(), 1)
+    xy = jsonio.structure_to_json(seed)
+    ident = jsonio.map_to_json(pf.identity_map(seed))
+    text = json.dumps(doc).replace('"{xy}"', json.dumps(xy)).replace(
+        '"{id}"', json.dumps(ident))
     path = tmp_path / "tasks.json"
     path.write_text(text)
     rc, out = capout(["tower", "grow", "--tasks", str(path)])

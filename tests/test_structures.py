@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -141,6 +143,158 @@ class TestFamilies:
         s = FinStructure(1, [0, 1], [{(0, 1), (1, 1)}])
         rep = pf.in_family(s, F0)
         assert rep.vertex == 0 and rep.relation == 0
+
+
+def reference_check_f0(s: FinStructure, family: str):
+    if not s.vertices:
+        return (False, family, "empty vertex set", None, None, None)
+    for i in range(s.m):
+        for v in s.sorted_vertices():
+            if not s.out_neighbors(i, v):
+                return (False, family, "vertex has no outgoing edge", v, i,
+                        None)
+            if not s.in_neighbors(i, v):
+                return (False, family, "vertex has no incoming edge", v, i,
+                        None)
+    return (True, family, "", None, None, None)
+
+
+def reference_check_f(s: FinStructure, family: str):
+    """The F test that classifies both ends of every edge afresh."""
+    rep = reference_check_f0(s, family)
+    if not rep[0]:
+        return rep
+    for v in s.sorted_vertices():
+        tags = pf.outgoing_classification(s, v)
+        if len(tags) != 1:
+            return (False, family, f"vertex outgoing for {len(tags)} "
+                    "relations/converses, expected exactly 1", v, None, None)
+    for i in range(s.m):
+        for a, b in sorted(s.relations[i]):
+            a_out = (i, "fwd") in pf.outgoing_classification(s, a)
+            b_out = (i, "inv") in pf.outgoing_classification(s, b)
+            if not (a_out or b_out):
+                return (False, family, "edge has neither an outgoing tail "
+                        "nor a converse-outgoing head", None, i, (a, b))
+    return (True, family, "", None, None, None)
+
+
+def reference_in_family(s: FinStructure, family: str):
+    """Membership as (ok, family, reason, vertex, relation, edge), computed
+    afresh on every call."""
+    if family in (F0, F):
+        if s.n:
+            raise ValueError("F0 and F need n=0")
+        check = reference_check_f0 if family == F0 else reference_check_f
+        return check(s, family)
+    if not s.vertices:
+        return (False, family, "empty vertex set", None, None, None)
+    if family == F0N:
+        rep = reference_check_f0(s, family)
+        if not rep[0]:
+            return rep
+        for i in range(s.m):
+            for j, c in enumerate(s.constants):
+                if (c, c) not in s.relations[i]:
+                    return (False, family, f"constant p{j + 1} lacks a loop",
+                            c, i, None)
+        return (True, family, "", None, None, None)
+    if len(set(s.constants)) != s.n:
+        return (False, family, "constants are not distinct", None, None,
+                None)
+    for j, c in enumerate(s.constants):
+        lone = f"constant p{j + 1} is not a singleton component"
+        for i in range(s.m):
+            if (c, c) not in s.relations[i]:
+                return (False, family, f"constant p{j + 1} lacks a loop", c,
+                        i, None)
+            for b in s.out_neighbors(i, c):
+                if b != c:
+                    return (False, family, lone, c, i, (c, b))
+            for a in s.in_neighbors(i, c):
+                if a != c:
+                    return (False, family, lone, c, i, (a, c))
+    rest = s.vertices - set(s.constants)
+    if not rest:
+        return (False, family, "no non-constant part", None, None, None)
+    return reference_check_f(pf.induced(s, rest, keep_constants=False),
+                             family)
+
+
+def random_member_candidate(rng: random.Random) -> FinStructure:
+    """m = 1-2 relations on 1-8 vertices, with or without constants; one
+    relation style in four is built to land in F often."""
+    m, n = rng.randint(1, 2), rng.randint(1, 8)
+    rels = []
+    for _ in range(m):
+        style = rng.randrange(4)
+        if style == 0:
+            # loops plus tail-to-head edges: in F once every vertex meets
+            # an edge, unless a stray edge spoils it
+            heads = set(rng.sample(range(n), rng.randint(0, n)))
+            tails = [v for v in range(n) if v not in heads]
+            rel = {(v, v) for v in range(n)}
+            if tails and heads:
+                rel |= {(rng.choice(tails), h) for h in heads}
+                rel |= {(t, rng.choice(sorted(heads))) for t in tails}
+            if rng.random() < 0.3:
+                rel.add((rng.randrange(n), rng.randrange(n)))
+        elif style == 1:
+            rel = {(v, v) for v in range(n)} | {
+                (rng.randrange(n), rng.randrange(n))
+                for _ in range(rng.randint(0, n))}
+        elif style == 2:
+            perm = rng.sample(range(n), n)
+            rel = {(v, perm[v]) for v in range(n)} | {
+                (rng.randrange(n), rng.randrange(n))
+                for _ in range(rng.randint(0, 2))}
+        else:
+            rel = {(rng.randrange(n), rng.randrange(n))
+                   for _ in range(rng.randint(0, 2 * n))}
+        rels.append(rel)
+    s = FinStructure(m, range(n), rels)
+    how = rng.randrange(3)
+    if how == 1:
+        return pf.expand_constants(s, rng.randint(1, 2))
+    if how == 2:
+        return FinStructure(m, range(n), rels, constants=[
+            rng.randrange(n) for _ in range(rng.randint(1, 2))])
+    return s
+
+
+class TestMembershipOracle:
+    @staticmethod
+    def fields(rep):
+        return (rep.ok, rep.family, rep.reason, rep.vertex, rep.relation,
+                rep.edge)
+
+    def test_in_family_matches_reference(self):
+        rng = random.Random(20261018)
+        seen = set()
+        for _ in range(300):
+            s = random_member_candidate(rng)
+            fresh = FinStructure(s.m, s.vertices, s.relations, s.constants)
+            for fam in (F0, F, F0N, FN):
+                if fam in (F0, F) and s.n:
+                    # raises every time: nothing is kept for it
+                    for _ in range(2):
+                        with pytest.raises(ValueError):
+                            pf.in_family(s, fam)
+                    with pytest.raises(ValueError):
+                        reference_in_family(s, fam)
+                    continue
+                want = reference_in_family(s, fam)
+                assert self.fields(pf.in_family(s, fam)) == want
+                assert self.fields(pf.in_family(s, fam)) == want
+                assert self.fields(pf.in_family(fresh, fam)) == want
+                seen.add((fam, want[0]))
+                seen.add(want[2])
+        # the sample reaches members and non-members of every family, and
+        # the per-edge condition of F
+        assert {(fam, ok) for fam in (F0, F, F0N, FN)
+                for ok in (True, False)} <= seen
+        assert ("edge has neither an outgoing tail nor a converse-outgoing "
+                "head") in seen
 
 
 class TestExpandConstants:

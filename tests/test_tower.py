@@ -26,6 +26,14 @@ def fold_map(cover: FinStructure, base: FinStructure) -> StructMap:
     return StructMap(cover, base, mapping)
 
 
+def assert_composites_are_epimorphisms(t) -> None:
+    """Oracle for the composition argument that lets the tower check only
+    its bonds: every composite of consecutive bonds is an epimorphism."""
+    for hi in range(len(t.stages)):
+        for lo in range(hi):
+            assert pf.check_epimorphism(t.bond_composite(lo, hi)), (lo, hi)
+
+
 class TestConstruction:
     def test_seed_must_be_in_fn(self):
         with pytest.raises(ValueError):
@@ -204,6 +212,52 @@ class TestScriptedRun:
         assert t.discharge_extension(phi2=phi2, phi1=phi1) is not None
 
         t.verify_integrity()
+        assert_composites_are_epimorphisms(t)
         assert t.discharged == 6
         for d in range(len(t.stages)):
             assert t.constant_thread_count(d) == 1
+
+
+class TestIntegrityCatchesTampering:
+    def grown_tower(self):
+        t = pf.new_tower(seed_fn())
+        assert t.discharge_universality(doubled_target())
+        assert t.discharge_extension(phi2=fold_map(doubled_target(),
+                                                   t.stages[0]),
+                                     phi1=t.bond_composite(0)) is not None
+        t.verify_integrity()
+        return t
+
+    def test_bond_changed_at_one_vertex(self):
+        t = self.grown_tower()
+        bond = t.bonds[1]
+        # a non-constant vertex sent onto a constant, which sits in a
+        # singleton component, breaks the edges at that vertex
+        v = min(bond.domain.vertices - set(bond.domain.constants))
+        mapping = dict(bond.mapping)
+        mapping[v] = bond.codomain.constants[0]
+        tampered = StructMap(bond.domain, bond.codomain, mapping)
+        assert not pf.check_epimorphism(tampered)
+        t.bonds[1] = tampered
+        with pytest.raises(pf.VerificationError):
+            t.verify_integrity()
+
+    def test_stage_that_leaves_fn(self):
+        t = self.grown_tower()
+        old = t.stages[1]
+        c = old.constants[0]
+        fresh = FinStructure(old.m, old.vertices,
+                             [rel - {(c, c)} for rel in old.relations],
+                             constants=old.constants)
+        assert not pf.in_family(fresh, pf.FN)
+        t.stages[1] = fresh
+        with pytest.raises(pf.VerificationError):
+            t.verify_integrity()
+
+    def test_stage_the_bonds_do_not_connect(self):
+        t = self.grown_tower()
+        other = doubled_target(2)
+        assert pf.in_family(other, pf.FN)
+        t.stages[1] = other
+        with pytest.raises(pf.VerificationError):
+            t.verify_integrity()

@@ -28,7 +28,7 @@ from .autgroup import (Hbar, Khat, PowerAut, ProductAut, TransconjInstance,
                        conjugate, conjugation_identity_check,
                        cycle_cover_instance, decompose, elements_equal,
                        function_space, pinned_union_instance, qp_conjugator)
-from .tower import Tower, TowerStatus, new_tower
+from .tower import Tower, TowerStatus
 
 __version__ = "0.1.0"
 

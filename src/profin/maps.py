@@ -4,8 +4,9 @@ landing in the restricted families.
 
 An epimorphism is a vertex-surjective homomorphism whose relation images are
 exact: phi(s_i of the domain) equals s_i of the codomain, with constants
-preserved.  Witness-producing functions re-verify their output before
-returning it.
+preserved.  Each public witness function checks its inputs once, hands
+the search to a private helper that returns an unverified candidate, and
+verifies that candidate once before returning it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from itertools import product as iproduct
 from typing import Mapping
 
 from .errors import CapExhausted, VerificationError
-from .structures import (F, F0, F0N, FN, FinStructure, connected_components,
+from .structures import (F, F0N, FN, FinStructure, connected_components,
                          disjoint_union, expand_constants, in_family, induced,
                          surjective_core)
 
@@ -380,8 +381,8 @@ def _core_candidate(phi1: StructMap, phi2: StructMap):
 
 
 def _verify_witness(family: str, c: FinStructure, psi1: StructMap,
-                    psi2: StructMap, phi1: StructMap | None,
-                    phi2: StructMap | None) -> None:
+                    psi2: StructMap, phi1: StructMap | None = None,
+                    phi2: StructMap | None = None) -> None:
     rep = in_family(c, family)
     if not rep:
         raise VerificationError(f"witness not in {family}: {rep.reason}")
@@ -404,6 +405,19 @@ def _strip_fn(phi: StructMap):
     Returns the restricted F-level epimorphism plus the components of the
     domain that map onto constant points (each with the constant index it
     hits); those components must be re-covered separately.
+
+    When phi is a checked Fn-epimorphism the restriction is an
+    F-epimorphism between F members, so it needs no check of its own:
+    - a constant point c of the codomain is a singleton loop component,
+      so a pair touching a vertex over c maps to (c, c) and has both ends
+      over c: the preimage of c is a union of components;
+    - the F conditions (in and out neighbours in every relation, one
+      outgoing tag per vertex, every pair covered by a tag) are per
+      component, so the domain's non-constant part (in F) minus those
+      components is in F, as is the codomain's non-constant part; the
+      former is not empty, since phi covers the latter;
+    - a pair over non-constant points has both ends in the restriction,
+      so it stays vertex-surjective with exact relation images.
     """
     a, b = phi.domain, phi.codomain
     const_points = set(b.constants)
@@ -519,6 +533,7 @@ def pap_witness(phi1: StructMap, phi2: StructMap, family: str,
     core is the seed; when it misses the family, a bounded search for an F
     cover of the core runs, reporting CapExhausted when inconclusive.  For
     Fn the constant fibres are stripped first and re-attached afterwards.
+    The inputs are checked once here and the witness once before return.
     """
     if phi1.codomain != phi2.codomain:
         raise ValueError("codomain mismatch")
@@ -531,65 +546,49 @@ def pap_witness(phi1: StructMap, phi2: StructMap, family: str,
             raise ValueError(f"{role} is not an epimorphism")
     if size_cap is None:
         size_cap = len(a1.vertices) * len(a2.vertices) * 4
-
-    if phi1 == phi2:
-        out = (a1, identity_map(a1), identity_map(a1))
+    out = _pap(phi1, phi2, family, size_cap, budget)
+    if out is not None:
         _verify_witness(family, *out, phi1, phi2)
-        return out
+    return out
 
-    if family in (F0, F0N):
-        got = _core_candidate(phi1, phi2)
-        if got is None:
-            return None
-        core, psi1, psi2 = got
-        if not (check_epimorphism(psi1) and check_epimorphism(psi2)
-                and in_family(core, family)):
-            return None
-        _verify_witness(family, core, psi1, psi2, phi1, phi2)
-        return core, psi1, psi2
 
-    if family == F:
-        got = _core_candidate(phi1, phi2)
-        if got is None or not (check_epimorphism(got[1])
-                               and check_epimorphism(got[2])):
-            return None
-        core, psi1, psi2 = got
-        if in_family(core, F):
-            _verify_witness(F, core, psi1, psi2, phi1, phi2)
-            return core, psi1, psi2
-        found = _f_cover_search(core, size_cap, budget)
-        cov, h = found
-        out = (cov, compose(psi1, h), compose(psi2, h))
-        _verify_witness(F, *out, phi1, phi2)
-        return out
-
+def _pap(phi1: StructMap, phi2: StructMap, family: str, size_cap: int,
+         budget: int):
+    """Unverified amalgamation candidate for epimorphisms between members
+    of the family, or None when no witness exists."""
+    if phi1 == phi2:
+        a1 = phi1.domain
+        return a1, identity_map(a1), identity_map(a1)
     if family == FN:
         phi1_rest, fix1 = _strip_fn(phi1)
         phi2_rest, fix2 = _strip_fn(phi2)
-        inner = pap_witness(phi1_rest, phi2_rest, F, size_cap, budget)
+        inner = _pap(phi1_rest, phi2_rest, F, size_cap, budget)
         if inner is None:
             return None
-        core, psi1, psi2 = inner
-        out = _reattach_fn(core, psi1, psi2, fix1, fix2, a1, a2)
-        _verify_witness(FN, *out, phi1, phi2)
-        return out
-
-    raise ValueError(f"unknown family {family!r}")
-
-
-def _terminal_structure(m: int, n: int) -> FinStructure:
-    return FinStructure(m, [0], [{(0, 0)} for _ in range(m)],
-                        constants=[0] * n)
+        return _reattach_fn(*inner, fix1, fix2, phi1.domain, phi2.domain)
+    got = _core_candidate(phi1, phi2)
+    if got is None or not (check_epimorphism(got[1])
+                           and check_epimorphism(got[2])):
+        return None
+    core, psi1, psi2 = got
+    if in_family(core, family):
+        return got
+    if family != F:
+        return None
+    cov, h = _f_cover_search(core, size_cap, budget)
+    return cov, compose(psi1, h), compose(psi2, h)
 
 
 def jpp_witness(a1: FinStructure, a2: FinStructure, family: str,
                 size_cap: int | None = None, budget: int = DEFAULT_BUDGET):
     """Joint projection witness (B, psi1, psi2): epimorphisms onto both.
 
-    Surjective families reduce to amalgamation over the one-point structure
-    (the full product always works there).  For F the tactics are, in
-    order: equal inputs, disjoint union glued by cross homomorphisms, the
-    product core, then CapExhausted.
+    Surjective families take the full product (amalgamation over the
+    one-point structure, which always works there).  For F the tactics
+    are, in order: equal inputs, disjoint union glued by cross
+    homomorphisms, the full product, then CapExhausted.  For Fn the
+    constant-free parts are joined in F and fresh constants re-attached.
+    The inputs are checked once here and the witness once before return.
     """
     _require_family(a1, family, "left structure")
     _require_family(a2, family, "right structure")
@@ -597,20 +596,38 @@ def jpp_witness(a1: FinStructure, a2: FinStructure, family: str,
         raise ValueError("arity mismatch")
     if size_cap is None:
         size_cap = len(a1.vertices) * len(a2.vertices) * 4
+    out = _jpp(a1, a2, family, size_cap, budget)
+    _verify_witness(family, *out)
+    return out
 
+
+def _jpp(a1: FinStructure, a2: FinStructure, family: str, size_cap: int,
+         budget: int):
+    """Unverified joint projection candidate for members of the family.
+
+    The non-constant part of an Fn member is in F.  Over the one-point
+    structure the fibre product is the full product a1 x a2; for members
+    of F0 (so of F) every relation is surjective and non-empty, so the
+    product's relations are surjective and both projections are
+    epimorphisms, and for F0n its constant points keep their loops.
+    """
     if a1 == a2:
-        out = (a1, identity_map(a1), identity_map(a1))
-        _verify_witness(family, *out, None, None)
-        return out
+        return a1, identity_map(a1), identity_map(a1)
 
-    if family in (F0, F0N):
-        term = _terminal_structure(a1.m, a1.n)
-        to1 = StructMap(a1, term, {v: 0 for v in a1.vertices})
-        to2 = StructMap(a2, term, {v: 0 for v in a2.vertices})
-        got = pap_witness(to1, to2, family, size_cap, budget)
-        if got is None:
-            return None
-        return got
+    if family == FN:
+        n = a1.n
+        s1 = induced(a1, a1.vertices - set(a1.constants),
+                     keep_constants=False)
+        s2 = induced(a2, a2.vertices - set(a2.constants),
+                     keep_constants=False)
+        core, psi1, psi2 = _jpp(s1, s2, F, size_cap, budget)
+        full = expand_constants(core, n)
+        map1 = dict(psi1.mapping)
+        map2 = dict(psi2.mapping)
+        for j in range(n):
+            map1[full.constants[j]] = a1.constants[j]
+            map2[full.constants[j]] = a2.constants[j]
+        return full, StructMap(full, a1, map1), StructMap(full, a2, map2)
 
     if family == F:
         h21 = find_homomorphism(a2, a1, budget)
@@ -621,39 +638,16 @@ def jpp_witness(a1: FinStructure, a2: FinStructure, family: str,
             map1.update({inj2[v]: h21.mapping[v] for v in a2.vertices})
             map2 = {inj2[v]: v for v in a2.vertices}
             map2.update({inj1[v]: h12.mapping[v] for v in a1.vertices})
-            out = (union, StructMap(union, a1, map1),
-                   StructMap(union, a2, map2))
-            _verify_witness(F, *out, None, None)
-            return out
-        term = _terminal_structure(a1.m, 0)
-        to1 = StructMap(a1, term, {v: 0 for v in a1.vertices})
-        to2 = StructMap(a2, term, {v: 0 for v in a2.vertices})
-        got = _core_candidate(to1, to2)
-        if got is not None and in_family(got[0], F) \
-                and check_epimorphism(got[1]) and check_epimorphism(got[2]):
-            _verify_witness(F, *got, None, None)
-            return got
+            return (union, StructMap(union, a1, map1),
+                    StructMap(union, a2, map2))
+
+    point = FinStructure(a1.m, [0], [{(0, 0)}] * a1.m, constants=[0] * a1.n)
+    prod = fibre_product(StructMap(a1, point, dict.fromkeys(a1.vertices, 0)),
+                         StructMap(a2, point, dict.fromkeys(a2.vertices, 0)))
+    if family == F and not in_family(prod[0], F):
         raise CapExhausted("joint projection tactics exhausted for F",
                            budget=size_cap)
-
-    if family == FN:
-        n = a1.n
-        s1 = induced(a1, a1.vertices - set(a1.constants),
-                     keep_constants=False)
-        s2 = induced(a2, a2.vertices - set(a2.constants),
-                     keep_constants=False)
-        core, psi1, psi2 = jpp_witness(s1, s2, F, size_cap, budget)
-        full = expand_constants(core, n)
-        map1 = dict(psi1.mapping)
-        map2 = dict(psi2.mapping)
-        for j in range(n):
-            map1[full.constants[j]] = a1.constants[j]
-            map2[full.constants[j]] = a2.constants[j]
-        out = (full, StructMap(full, a1, map1), StructMap(full, a2, map2))
-        _verify_witness(FN, *out, None, None)
-        return out
-
-    raise ValueError(f"unknown family {family!r}")
+    return prod
 
 
 def coinitial_cover(s: FinStructure, target: str,

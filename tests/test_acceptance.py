@@ -332,7 +332,7 @@ def test_criterion_9_tower_integrity():
     target2 = pf.expand_constants(double, 1)
     target3 = pf.expand_constants(triple, 1)
 
-    tower = pf.new_tower(seed)
+    tower = pf.Tower.new(seed)
     ok = tower.discharge_universality(seed)
     ok = ok and tower.discharge_universality(target2)
     ok = ok and tower.discharge_universality(target3)

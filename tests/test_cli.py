@@ -220,7 +220,7 @@ class TestTransconj:
         assert rc == 0
         payload = json.loads(out)
         assert payload["transcript"][-1] == \
-            "identity verified over 16 functions"
+            "identity decided by semidirect normal form"
 
     def test_demo_certificate_verifies(self, tmp_path, capout):
         rc, out = capout(["transconj", "demo", "--preset", "z2-pinned",

@@ -5,7 +5,7 @@ import pytest
 
 import profin as pf
 from profin import (CapExhausted, F, F0, F0N, FN, FinStructure, Partition,
-                    StructMap)
+                    StructMap, maps)
 
 from conftest import (cycle_structure, loop_structure, random_f0,
                       random_partition, two_cycle, xy_member)
@@ -474,6 +474,21 @@ class TestJpp:
             assert psi1.mapping[b.constants[j]] == a1.constants[j]
             assert psi2.mapping[b.constants[j]] == a2.constants[j]
 
+    def test_f_product_tactic_is_last(self):
+        # no homomorphism sends xy's loops into this loopless member, so
+        # only the full product is left, and it is not in F
+        loopless = FinStructure(1, range(4), [{(0, 3), (1, 2), (1, 3),
+                                               (2, 0), (2, 1), (3, 0)}])
+        assert pf.in_family(loopless, F).ok
+        assert pf.find_homomorphism(xy_member(), loopless) is None
+        point = loop_structure()
+        prod, _, _ = pf.fibre_product(
+            StructMap(xy_member(), point, _collapse(xy_member())),
+            StructMap(loopless, point, _collapse(loopless)))
+        assert not pf.in_family(prod, F)
+        with pytest.raises(CapExhausted, match="tactics exhausted"):
+            pf.jpp_witness(xy_member(), loopless, F)
+
     def test_random_f0_jpp_always_succeeds(self, rng):
         for _ in range(15):
             m = rng.randint(1, 3)
@@ -518,3 +533,191 @@ class TestCoinitialCover:
             cover, phi = pf.coinitial_cover(s, F0N)
             assert pf.in_family(cover, F0N).ok
             assert pf.check_epimorphism(phi)
+
+
+def f_members(m: int) -> list[FinStructure]:
+    """Small members of F with m relations."""
+    if m == 1:
+        return [xy_member(),
+                FinStructure(1, range(3),
+                             [{(0, 0), (0, 1), (0, 2), (1, 1), (2, 2)}]),
+                FinStructure(1, range(3),
+                             [{(0, 0), (1, 0), (1, 1), (1, 2), (2, 2)}])]
+    # one vertex outgoing per relation and one converse-outgoing per
+    # relation; the other two vertices have a single in and out neighbour
+    a, b, c, d = range(4)
+    return [FinStructure(2, range(4), [
+        {(a, a), (a, b), (a, c), (a, d), (c, b), (d, b), (b, b)},
+        {(c, c), (c, d), (c, a), (c, b), (a, d), (b, d), (d, d)}])]
+
+
+def random_fold(rng: random.Random, m: int, n: int) -> StructMap:
+    """Fn epimorphism from copies of F members, each sent identically onto
+    a base component or collapsed onto a constant point."""
+    members = f_members(m)
+    parts = [rng.choice(members) for _ in range(rng.randint(1, 2))]
+    # (piece, target): a part index, or -1 - j for constant j
+    pieces = [(part, i) for i, part in enumerate(parts)]
+    for _ in range(rng.randint(0, 2)):
+        target = rng.randrange(-n, len(parts))
+        piece = parts[target] if target >= 0 else rng.choice(members)
+        pieces.append((piece, target))
+    rng.shuffle(pieces)
+    dom_f, dom_injs = pf.disjoint_union([piece for piece, _ in pieces])
+    base_f, base_injs = pf.disjoint_union(parts)
+    dom = pf.expand_constants(dom_f, n)
+    base = pf.expand_constants(base_f, n)
+    mapping = {}
+    for (piece, target), inj in zip(pieces, dom_injs):
+        for v, w in inj.items():
+            mapping[w] = (base_injs[target][v] if target >= 0
+                          else base.constants[-1 - target])
+    for j in range(n):
+        mapping[dom.constants[j]] = base.constants[j]
+    return StructMap(dom, base, mapping)
+
+
+def random_fn_quotient(rng: random.Random, m: int,
+                       n: int) -> StructMap | None:
+    """Quotient map of an Fn member that collapses random components onto
+    constant points and merges random vertex pairs; None when the quotient
+    leaves Fn."""
+    s_f, injs = pf.disjoint_union([rng.choice(f_members(m))
+                                   for _ in range(rng.randint(1, 3))])
+    s = pf.expand_constants(s_f, n)
+    blocks = [{c} for c in s.constants]
+    rest = []
+    for inj in injs:
+        if rng.random() < 0.3:
+            rng.choice(blocks).update(inj.values())
+        else:
+            rest.extend(inj.values())
+    rest = [{v} for v in rest]
+    for _ in range(rng.randint(0, 2)):
+        if len(rest) > 1:
+            i, j = sorted(rng.sample(range(len(rest)), 2))
+            rest[i] |= rest.pop(j)
+    q, proj = pf.quotient(s, Partition(blocks + rest))
+    return proj if pf.in_family(q, FN) else None
+
+
+class TestStripFnOracle:
+    def test_restriction_of_fn_epimorphism_is_f_epimorphism(self, rng):
+        # the Fn amalgamation runs the F search on these restrictions
+        # without checking them again
+        folds = quotients = 0
+        while folds + quotients < 200:
+            m, n = rng.randint(1, 2), rng.randint(1, 2)
+            if (folds + quotients) % 2:
+                phi = random_fn_quotient(rng, m, n)
+                if phi is None:
+                    continue
+                quotients += 1
+            else:
+                phi = random_fold(rng, m, n)
+                folds += 1
+            a, b = phi.domain, phi.codomain
+            assert pf.in_family(a, FN) and pf.in_family(b, FN)
+            assert pf.check_epimorphism(phi)
+            phi_rest, fixups = maps._strip_fn(phi)
+            assert pf.in_family(phi_rest.domain, F).ok
+            assert pf.in_family(phi_rest.codomain, F).ok
+            assert pf.check_epimorphism(phi_rest)
+            for comp, j in fixups:
+                assert pf.in_family(comp, F).ok
+                assert {phi.mapping[v] for v in comp.vertices} == \
+                    {b.constants[j]}
+        assert quotients >= 50
+
+
+def doubled_seed() -> FinStructure:
+    """Two xy copies (vertices 0-1 and 2-3) plus one constant (4)."""
+    double, _ = pf.disjoint_union([xy_member(), xy_member()])
+    return pf.expand_constants(double, 1)
+
+
+def fold_square() -> tuple[StructMap, StructMap]:
+    seed = pf.expand_constants(xy_member(), 1)
+    cover = doubled_seed()
+    fold = {v: v % 2 for v in range(4)}
+    fold[cover.constants[0]] = seed.constants[0]
+    return pf.identity_map(seed), StructMap(cover, seed, fold)
+
+
+def squash(psi: StructMap) -> StructMap:
+    """psi with every non-constant image moved to one looped vertex: still
+    a homomorphism, no longer onto."""
+    cod = psi.codomain
+    x = min(cod.vertices - set(cod.constants))
+    return StructMap(psi.domain, cod,
+                     {v: w if w in cod.constants else x
+                      for v, w in psi.mapping.items()})
+
+
+class TestWitnessTrustBoundary:
+    """The search helpers' candidates are trusted by nothing but the one
+    verification each public witness function runs before returning."""
+
+    def test_pap_fn_rejects_a_square_that_does_not_commute(self,
+                                                           monkeypatch):
+        b = doubled_seed()
+        swap = {0: 2, 1: 3, 2: 0, 3: 1, 4: 4}
+        phi1, phi2 = pf.identity_map(b), StructMap(b, b, swap)
+        real = maps._core_candidate
+
+        def tampered(p1, p2):
+            # compose the right projection with the copy swap: still an
+            # epimorphism, but phi2 undoes the swap the square needs
+            core, psi1, psi2 = real(p1, p2)
+            return core, psi1, StructMap(
+                core, psi2.codomain,
+                {v: swap[w] for v, w in psi2.mapping.items()})
+
+        monkeypatch.setattr(maps, "_core_candidate", tampered)
+        with pytest.raises(pf.VerificationError, match="does not commute"):
+            pf.pap_witness(phi1, phi2, FN)
+
+    def test_pap_fn_rejects_a_projection_that_is_not_onto(self,
+                                                          monkeypatch):
+        phi1, phi2 = fold_square()
+        real = maps._reattach_fn
+
+        def tampered(*args):
+            full, psi1, psi2 = real(*args)
+            return full, psi1, squash(psi2)
+
+        monkeypatch.setattr(maps, "_reattach_fn", tampered)
+        with pytest.raises(pf.VerificationError,
+                           match="not an epimorphism"):
+            pf.pap_witness(phi1, phi2, FN)
+
+    def test_jpp_fn_rejects_a_projection_that_is_not_onto(self,
+                                                          monkeypatch):
+        a1, a2 = pf.expand_constants(xy_member(), 1), doubled_seed()
+        real = maps._jpp
+
+        def tampered(s1, s2, family, *args):
+            got = real(s1, s2, family, *args)
+            if family != F:
+                return got
+            core, psi1, psi2 = got
+            return core, squash(psi1), psi2
+
+        monkeypatch.setattr(maps, "_jpp", tampered)
+        with pytest.raises(pf.VerificationError,
+                           match="not an epimorphism"):
+            pf.jpp_witness(a1, a2, FN)
+
+    def test_input_checks_fire_unchanged(self):
+        seed, cover = fold_square()[0].domain, doubled_seed()
+        inclusion = StructMap(seed, cover, {0: 0, 1: 1, 2: 4})
+        with pytest.raises(ValueError,
+                           match="^left map is not an epimorphism$"):
+            pf.pap_witness(inclusion, pf.identity_map(cover), FN)
+        bad = FinStructure(1, [0, 1], [{(0, 1), (1, 0), (1, 1)}],
+                           constants=[1])
+        with pytest.raises(ValueError, match="^left domain is not in Fn: "):
+            pf.pap_witness(pf.identity_map(bad), pf.identity_map(bad), FN)
+        with pytest.raises(ValueError,
+                           match="^right structure is not in Fn: "):
+            pf.jpp_witness(seed, bad, FN)

@@ -1,7 +1,9 @@
+from collections import Counter
+
 import pytest
 
 import profin as pf
-from profin import FinStructure, StructMap
+from profin import FinStructure, StructMap, maps, structures, tower
 
 from conftest import two_cycle, xy_member
 
@@ -37,32 +39,32 @@ def assert_composites_are_epimorphisms(t) -> None:
 class TestConstruction:
     def test_seed_must_be_in_fn(self):
         with pytest.raises(ValueError):
-            pf.new_tower(two_cycle())
+            pf.Tower.new(two_cycle())
 
     def test_valid_seed(self):
-        t = pf.new_tower(seed_fn())
+        t = pf.Tower.new(seed_fn())
         assert len(t.stages) == 1
 
     def test_expanded_seed_for_n1(self):
-        t = pf.new_tower(pf.expand_constants(xy_member(), 1))
+        t = pf.Tower.new(pf.expand_constants(xy_member(), 1))
         assert t.top.n == 1
 
 
 class TestUniversality:
     def test_current_top_trivial(self):
-        t = pf.new_tower(seed_fn())
+        t = pf.Tower.new(seed_fn())
         assert t.discharge_universality(t.top)
         assert len(t.stages) == 2
         t.verify_integrity()
 
     def test_doubling_target(self):
-        t = pf.new_tower(seed_fn())
+        t = pf.Tower.new(seed_fn())
         assert t.discharge_universality(doubled_target())
         assert len(t.stages) == 2
         t.verify_integrity()
 
     def test_constants_preserved(self):
-        t = pf.new_tower(seed_fn())
+        t = pf.Tower.new(seed_fn())
         t.discharge_universality(doubled_target())
         bond = t.bonds[0]
         new, old = t.stages[1], t.stages[0]
@@ -70,14 +72,14 @@ class TestUniversality:
             assert bond.mapping[new.constants[j]] == old.constants[j]
 
     def test_target_must_be_in_family(self):
-        t = pf.new_tower(seed_fn())
+        t = pf.Tower.new(seed_fn())
         with pytest.raises(ValueError):
             t.discharge_universality(two_cycle())
 
 
 class TestExtension:
     def test_identity_phi2_reduces_to_bond(self):
-        t = pf.new_tower(seed_fn())
+        t = pf.Tower.new(seed_fn())
         phi1 = pf.identity_map(t.top)
         rho = t.discharge_extension(phi2=pf.identity_map(t.top), phi1=phi1)
         assert rho is not None
@@ -85,7 +87,7 @@ class TestExtension:
         t.verify_integrity()
 
     def test_doubled_cover(self):
-        t = pf.new_tower(seed_fn())
+        t = pf.Tower.new(seed_fn())
         cover = doubled_target()
         phi2 = fold_map(cover, t.top)
         assert pf.check_epimorphism(phi2)
@@ -97,7 +99,7 @@ class TestExtension:
         t.verify_integrity()
 
     def test_constant_components_stay_singleton(self):
-        t = pf.new_tower(seed_fn())
+        t = pf.Tower.new(seed_fn())
         cover = doubled_target()
         t.discharge_extension(phi2=fold_map(cover, t.top),
                               phi1=pf.identity_map(t.top))
@@ -106,7 +108,7 @@ class TestExtension:
             assert comp.blocks[comp.block_of(c)] == frozenset({c})
 
     def test_phi1_domain_checked(self):
-        t = pf.new_tower(seed_fn())
+        t = pf.Tower.new(seed_fn())
         other = doubled_target()
         with pytest.raises(ValueError):
             t.discharge_extension(phi2=pf.identity_map(other),
@@ -117,7 +119,7 @@ class TestDeepSearch:
     def test_universality_on_a_top_above_a_thousand_vertices(self):
         # the map search used to recurse once per domain vertex and hit
         # Python's recursion limit on tops of this size
-        t = pf.new_tower(seed_fn(), stage_guard=1 << 16)
+        t = pf.Tower.new(seed_fn(), stage_guard=1 << 16)
         phi2 = fold_map(doubled_target(), t.stages[0])
         for _ in range(10):
             assert t.discharge_extension(
@@ -127,9 +129,51 @@ class TestDeepSearch:
         assert t.discharged == 11
 
 
+class TestCheckCounts:
+    def count_checks(self, monkeypatch) -> Counter:
+        counts: Counter = Counter()
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args):
+                counts[name] += 1
+                return real(*args)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(structures, "_check_f")
+        counted(maps, "check_epimorphism")
+        counted(maps, "_verify_witness")
+        monkeypatch.setattr(tower, "check_epimorphism",
+                            maps.check_epimorphism)
+        return counts
+
+    def test_each_fold_extension_checks_once_per_claim(self, monkeypatch):
+        # an extension checks its two input maps, the core's projections
+        # (they decide existence) and the witness's, so six epimorphism
+        # checks; the new stage is checked in F as the core and once in Fn
+        t = pf.Tower.new(seed_fn(), stage_guard=1 << 16)
+        phi2 = fold_map(doubled_target(), t.stages[0])
+        counts = self.count_checks(monkeypatch)
+        # the first extension also checks phi2's domain
+        assert t.discharge_extension(phi2=phi2,
+                                     phi1=t.bond_composite(0)) is not None
+        counts.clear()
+        for _ in range(9):
+            assert t.discharge_extension(
+                phi2=phi2, phi1=t.bond_composite(0)) is not None
+        assert counts["_check_f"] <= 2 * 9
+        assert counts["check_epimorphism"] <= 6 * 9
+        assert counts["_verify_witness"] == 9
+        counts.clear()
+        assert t.discharge_universality(doubled_target())
+        assert counts["_verify_witness"] == 1
+        t.verify_integrity()
+
+
 class TestThreads:
     def grown_tower(self):
-        t = pf.new_tower(seed_fn())
+        t = pf.Tower.new(seed_fn())
         t.discharge_universality(t.top)
         t.discharge_universality(doubled_target())
         return t
@@ -162,14 +206,14 @@ class TestThreads:
 
 class TestSchedulerAndGuard:
     def test_stage_guard_queues_task(self):
-        t = pf.new_tower(seed_fn(), stage_guard=4)
+        t = pf.Tower.new(seed_fn(), stage_guard=4)
         ok = t.discharge_universality(doubled_target())
         assert not ok
         status = t.status()
         assert status.pending == 1 and status.partial
 
     def test_retry_after_growth(self):
-        t = pf.new_tower(seed_fn(), stage_guard=4)
+        t = pf.Tower.new(seed_fn(), stage_guard=4)
         t.discharge_universality(doubled_target())
         assert t.pending
         t.stage_guard = 64
@@ -178,7 +222,7 @@ class TestSchedulerAndGuard:
         t.verify_integrity()
 
     def test_retry_doubles_cap(self):
-        t = pf.new_tower(seed_fn(), stage_guard=4)
+        t = pf.Tower.new(seed_fn(), stage_guard=4)
         t.discharge_universality(doubled_target(), cap=7)
         cap_before = t.pending[0].cap
         t.retry_pending()
@@ -186,7 +230,7 @@ class TestSchedulerAndGuard:
             assert t.pending[0].cap == cap_before * 2
 
     def test_status_reports_partial_honestly(self):
-        t = pf.new_tower(seed_fn(), stage_guard=3)
+        t = pf.Tower.new(seed_fn(), stage_guard=3)
         t.discharge_universality(doubled_target())
         assert t.status().partial
         assert t.status().as_dict()["stages"] == 1
@@ -194,7 +238,7 @@ class TestSchedulerAndGuard:
 
 class TestScriptedRun:
     def test_six_task_run(self):
-        t = pf.new_tower(seed_fn())
+        t = pf.Tower.new(seed_fn())
         assert t.discharge_universality(t.top)
         assert t.discharge_universality(doubled_target())
         triple, _ = pf.disjoint_union([xy_member()] * 3)
@@ -220,7 +264,7 @@ class TestScriptedRun:
 
 class TestIntegrityCatchesTampering:
     def grown_tower(self):
-        t = pf.new_tower(seed_fn())
+        t = pf.Tower.new(seed_fn())
         assert t.discharge_universality(doubled_target())
         assert t.discharge_extension(phi2=fold_map(doubled_target(),
                                                    t.stages[0]),

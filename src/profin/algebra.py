@@ -8,11 +8,12 @@ is ((a_1 * n + a_2) * n + ...) + a_k over universe size n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations, product as iproduct
+from itertools import combinations, product as iproduct
+from operator import add
 from typing import Iterable, Sequence
 
 from .errors import CapExhausted
-from .groups import FinGroup, perm_group_from_generators, preset_group
+from .groups import FinGroup, closed_perm_group, preset_group
 from .structures import Partition
 
 
@@ -30,12 +31,12 @@ class FinAlgebra:
         for j, (arity, table) in enumerate(ops):
             if arity < 0:
                 raise ValueError(f"operation {j} has negative arity")
-            tbl = tuple(int(x) for x in table)
+            tbl = tuple(map(int, table))
             if len(tbl) != size ** arity:
                 raise ValueError(
                     f"operation {j}: table length {len(tbl)} is not "
                     f"{size}^{arity}")
-            if any(not 0 <= x < size for x in tbl):
+            if min(tbl) < 0 or max(tbl) >= size:
                 raise ValueError(f"operation {j}: value out of range")
             norm.append((arity, tbl))
         self.size = size
@@ -125,15 +126,17 @@ class BooleanPowerAlgebra(FinAlgebra):
         self.space = space
         self.base = base
         index = {f: i for i, f in enumerate(self.functions)}
-        ops = []
-        for j, (arity, _) in enumerate(base.ops):
-            table = []
-            for args in iproduct(range(len(self.functions)), repeat=arity):
-                val = tuple(
-                    base.apply(j, tuple(self.functions[a][x] for a in args))
-                    for x in range(space.points))
-                table.append(index[val])
-            ops.append((arity, table))
+        n, ops = base.size, []
+        for arity, table in base.ops:
+            # One row per argument prefix, in iproduct order: the mixed-radix
+            # index into ``table`` of the prefix at each point.
+            rows = [(0,) * space.points]
+            for _ in range(arity):
+                rows = [tuple(map(add, scaled, f))
+                        for scaled in ([i * n for i in row] for row in rows)
+                        for f in self.functions]
+            ops.append((arity, [index[tuple(map(table.__getitem__, row))]
+                                for row in rows]))
         super().__init__(len(self.functions), ops,
                          name=f"{base.name or 'A'}^{space.points}")
 
@@ -251,64 +254,69 @@ def is_simple(a: FinAlgebra) -> bool:
                for x, y in combinations(range(n), 2))
 
 
-def _projection_tables(n: int) -> list[tuple[int, ...]]:
-    cube = list(iproduct(range(n), repeat=3))
-    return [tuple(t[k] for t in cube) for k in range(3)]
-
-
-def _is_malcev_table(n: int, table: tuple[int, ...]) -> bool:
-    for x in range(n):
-        for y in range(n):
-            if table[(x * n + x) * n + y] != y:
-                return False
-            if table[(y * n + x) * n + x] != y:
-                return False
-    return True
-
-
 def malcev_term_exists(a: FinAlgebra,
                        cap: int = 20000) -> tuple[int, ...] | None:
     """Search the ternary term clone for a Mal'cev operation.
 
-    The clone is generated from the three projections by pointwise
-    application of the operations.  Returns a flattened ternary table, or
-    None when the completed clone has no Mal'cev member; raises
-    CapExhausted when the clone exceeds the cap before completion.
+    The identities m(x, x, y) = y = m(y, x, x) read a ternary operation only
+    on the 2n^2 triples (x, x, y) and (y, x, x) (Freese and Valeriote, On
+    the complexity of some Maltsev conditions, 2009), so the breadth-first
+    search generates the clone from the three projections restricted to
+    those triples, reading the operation tables by index, and records each
+    new restricted table's term as (operation, children).  The first
+    restricted table that satisfies the identities has its term evaluated
+    on the whole cube, and that flattened table is returned.  Restriction
+    commutes with the operations, so the restricted clone is the image of
+    the full one and None proves that no Mal'cev term exists.  Raises
+    CapExhausted, with the count in ``stats["tables"]``, when a round
+    starts with more than ``cap`` distinct restricted tables found.
     """
     n = a.size
-    elems = _projection_tables(n)
+    pairs = list(iproduct(range(n), repeat=2))
+    coords = [(x, x, y) for x, y in pairs] + [(y, x, x) for x, y in pairs]
+    target = tuple(y for _, y in pairs) * 2
+    elems = [tuple(c[k] for c in coords) for k in range(3)]
+    # Term of each restricted table past the projections: (op, children).
+    terms: list[tuple[int, tuple[int, ...]]] = []
+    cube = {k: tuple(t[k] for t in iproduct(range(n), repeat=3))
+            for k in range(3)}
+
+    def full(t: int) -> tuple[int, ...]:
+        """The term of restricted table t evaluated on all n^3 triples."""
+        if t not in cube:
+            j, children = terms[t - 3]
+            rows = [0] * n ** 3
+            for c in map(full, children):
+                rows = [i * n + v for i, v in zip(rows, c)]
+            cube[t] = tuple(map(a.ops[j][1].__getitem__, rows))
+        return cube[t]
+
+    for k, t in enumerate(elems):
+        if t == target:
+            return full(k)
     seen = set(elems)
-    for t in elems:
-        if _is_malcev_table(n, t):
-            return t
-    frontier = set(elems)
-    while frontier:
+    start = 0
+    while start < len(elems):
         if len(seen) > cap:
             raise CapExhausted(
-                f"ternary clone exceeded {cap} elements", budget=cap)
-        new: list[tuple[int, ...]] = []
-        for j, (arity, _) in enumerate(a.ops):
-            if arity == 0:
-                cand = (a.apply(j, ()),) * (n ** 3)
-                if cand not in seen:
-                    seen.add(cand)
-                    new.append(cand)
-                    if _is_malcev_table(n, cand):
-                        return cand
-                continue
-            pools = [elems] * arity
-            for combo in iproduct(*pools):
-                if not any(c in frontier for c in combo):
+                f"ternary clone exceeded {cap} elements", budget=cap,
+                stats={"tables": len(seen)})
+        end = len(elems)
+        for j, (arity, table) in enumerate(a.ops):
+            for combo in iproduct(range(end), repeat=arity):
+                if arity and max(combo) < start:
                     continue
-                cand = tuple(a.apply(j, tuple(c[idx] for c in combo))
-                             for idx in range(n ** 3))
+                rows = elems[combo[0]] if combo else (0,) * len(coords)
+                for c in combo[1:]:
+                    rows = [i * n + v for i, v in zip(rows, elems[c])]
+                cand = tuple(map(table.__getitem__, rows))
                 if cand not in seen:
                     seen.add(cand)
-                    new.append(cand)
-                    if _is_malcev_table(n, cand):
-                        return cand
-        elems = elems + new
-        frontier = set(new)
+                    elems.append(cand)
+                    terms.append((j, combo))
+                    if cand == target:
+                        return full(len(elems) - 1)
+        start = end
     return None
 
 
@@ -322,15 +330,100 @@ def preserves_operations(a: FinAlgebra, perm: Sequence[int]) -> bool:
     return True
 
 
-def automorphisms(a: FinAlgebra, cap: int = 8) -> FinGroup:
-    """Automorphism group by brute force over universe permutations."""
-    if a.size > cap:
+def _extend(n: int, ops, img: list[int], used: list[bool],
+            elems: list[int], start: int) -> bool:
+    """Extend the partial map ``img`` from ``elems`` to the subalgebra they
+    generate, semi-naively: each round applies the operations only to
+    argument tuples holding an element added in the previous round, the
+    first round to those holding one of elems[start:].  Appends the new
+    elements to ``elems``; False at the first clash, where an element
+    would get two images or two elements one image."""
+    while start < len(elems):
+        end = len(elems)
+        old, new, cur = elems[:start], elems[start:end], elems[:end]
+        for arity, table in ops:
+            for i in range(arity):
+                pools = [old] * i + [new] + [cur] * (arity - i - 1)
+                for args in iproduct(*pools):
+                    x = y = 0
+                    for u in args:
+                        x, y = x * n + u, y * n + img[u]
+                    r, s = table[x], table[y]
+                    if img[r] < 0:
+                        if used[s]:
+                            return False
+                        img[r], used[s] = s, True
+                        elems.append(r)
+                    elif img[r] != s:
+                        return False
+        start = end
+    return True
+
+
+def automorphisms(a: FinAlgebra, cap: int = 720) -> FinGroup:
+    """Automorphism group, by extending generator images.
+
+    A generating set is picked greedily, elements generating the largest
+    subalgebras first.  An automorphism keeps the size of the subalgebra
+    each element generates, so each generator is sent only to elements of
+    its class, injectively; each such image tuple is extended by a
+    semi-naive closure over the operation tables and dropped at the first
+    clash, one generator at a time.  The automorphisms found are a closed
+    set, so the Cayley table is built from them directly, in the order of
+    ``perm_group_from_generators``.  ``cap`` bounds the number of candidate
+    image tuples, and with it |Aut| and the |Aut|^2 table: CapExhausted,
+    with the count in ``stats["candidates"]``, is raised before any search
+    when there are more.
+    """
+    n = a.size
+    ops = [(arity, table) for arity, table in a.ops if arity]
+    consts = sorted({table[0] for arity, table in a.ops if not arity})
+
+    def identity_on(xs: Sequence[int]) -> tuple[list[int], list[bool]]:
+        img, used = [-1] * n, [False] * n
+        for x in xs:
+            img[x], used[x] = x, True
+        return img, used
+
+    def closure(xs: list[int]) -> list[int]:
+        elems = list(xs)
+        _extend(n, ops, *identity_on(xs), elems, 0)
+        return elems
+
+    base = closure(consts)
+    inside = set(base)
+    rest = [x for x in range(n) if x not in inside]
+    spans = {x: len(closure(consts + [x])) for x in rest}
+    gens: list[int] = []
+    for x in sorted(rest, key=lambda x: (-spans[x], x)):
+        if x not in inside:
+            gens.append(x)
+            inside.update(closure(base + gens))
+    classes = [[y for y in rest if spans[y] == spans[g]] for g in gens]
+    candidates = 1
+    for i, g in enumerate(gens):
+        candidates *= len(classes[i]) - sum(spans[h] == spans[g]
+                                            for h in gens[:i])
+    if candidates > cap:
         raise CapExhausted(
-            f"universe size {a.size} exceeds brute-force cap {cap}",
-            budget=cap)
-    perms = [p for p in permutations(range(a.size))
-             if preserves_operations(a, p)]
-    return perm_group_from_generators(perms, degree=a.size)
+            f"{candidates} candidate generator images exceed cap {cap}",
+            budget=cap, stats={"candidates": candidates})
+    found = []
+
+    def search(i: int, img: list[int], used: list[bool],
+               elems: list[int]) -> None:
+        if i == len(gens):
+            found.append(tuple(img))
+            return
+        for y in classes[i]:
+            if not used[y]:
+                img2, used2, elems2 = img[:], used[:], elems + [gens[i]]
+                img2[gens[i]], used2[y] = y, True
+                if _extend(n, ops, img2, used2, elems2, len(elems)):
+                    search(i + 1, img2, used2, elems2)
+
+    search(0, *identity_on(base), base)
+    return closed_perm_group(found, n)
 
 
 def _group_algebra(g: FinGroup, name: str) -> FinAlgebra:
@@ -340,7 +433,27 @@ def _group_algebra(g: FinGroup, name: str) -> FinAlgebra:
     return FinAlgebra(n, [(2, mul), (1, inv), (0, [0])], name=name)
 
 
+def _gf4_mul(x: int, y: int) -> int:
+    """GF(4) = F2[a]/(a^2 + a + 1), elements as bit vectors c0 + 2 c1."""
+    r = (x if y & 1 else 0) ^ (x << 1 if y & 2 else 0)
+    return r ^ 0b111 if r & 4 else r
+
+
+def _rng_algebra(n: int, plus, times, name: str) -> FinAlgebra:
+    """Ring without 1 in the signature (+, -, 0, *), so {0} is a pin."""
+    sums = [plus(x, y) for x in range(n) for y in range(n)]
+    neg = [sums[x * n:(x + 1) * n].index(0) for x in range(n)]
+    products = [times(x, y) for x in range(n) for y in range(n)]
+    return FinAlgebra(n, [(2, sums), (1, neg), (0, [0]), (2, products)],
+                      name=name)
+
+
 _PRESET_BUILDERS = {
+    "F2": lambda: _rng_algebra(2, lambda x, y: (x + y) % 2,
+                               lambda x, y: x * y % 2, "F2"),
+    "F3": lambda: _rng_algebra(3, lambda x, y: (x + y) % 3,
+                               lambda x, y: x * y % 3, "F3"),
+    "F4": lambda: _rng_algebra(4, lambda x, y: x ^ y, _gf4_mul, "F4"),
     "Z2": lambda: _group_algebra(preset_group("Z2"), "Z2"),
     "Z3": lambda: _group_algebra(preset_group("Z3"), "Z3"),
     "Z4": lambda: _group_algebra(preset_group("Z4"), "Z4"),

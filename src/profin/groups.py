@@ -25,9 +25,9 @@ class FinGroup:
         n = len(table)
         if n == 0:
             raise ValueError("group must be nonempty")
-        tbl = tuple(tuple(int(x) for x in row) for row in table)
+        tbl = tuple(tuple(map(int, row)) for row in table)
         for row in tbl:
-            if len(row) != n or any(not 0 <= x < n for x in row):
+            if len(row) != n or min(row) < 0 or max(row) >= n:
                 raise ValueError("malformed Cayley table")
         if validate:
             for x in range(n):
@@ -40,13 +40,15 @@ class FinGroup:
                             raise ValueError(
                                 f"associativity fails at ({a},{b},{c})")
         inv = [-1] * n
-        for a in range(n):
-            for b in range(n):
-                if tbl[a][b] == 0 and tbl[b][a] == 0:
-                    inv[a] = b
-                    break
-            if inv[a] < 0:
-                raise ValueError(f"element {a} has no inverse")
+        for a, row in enumerate(tbl):
+            b = -1
+            try:
+                while inv[a] < 0:
+                    b = row.index(0, b + 1)
+                    if tbl[b][a] == 0:
+                        inv[a] = b
+            except ValueError:
+                raise ValueError(f"element {a} has no inverse") from None
         self.order = n
         self.table = tbl
         self.inverse = tuple(inv)
@@ -137,9 +139,44 @@ def perm_group_from_generators(gens: Iterable[Sequence[int]],
                     closure.add(q)
                     nxt.append(q)
         frontier = nxt
-    elems = [ident] + sorted(closure - {ident})
+    return closed_perm_group(closure, degree)
+
+
+def closed_perm_group(perms: Iterable[Sequence[int]],
+                      degree: int) -> FinGroup:
+    """Cayley table of a set of permutations already closed under
+    composition (it is not checked), ordered identity first, then
+    lexicographically, with the permutations kept in ``perms``."""
+    ident = tuple(range(degree))
+    elems = [ident] + sorted({tuple(p) for p in perms} - {ident})
     index = {p: i for i, p in enumerate(elems)}
-    table = [[index[compose_perms(a, b)] for b in elems] for a in elems]
+    # Elements not yet reached become generators; each gets its right
+    # multiplication as an index map, and every element is reached as
+    # b = c o g, so row a of the table follows from a o b = (a o c) o g
+    # with one lookup per entry instead of one composition.
+    right: list[list[int]] = []
+    steps: list[tuple[int, int, int]] = []
+    seen = [True] + [False] * (len(elems) - 1)
+    reached = [0]
+    for e, g in enumerate(elems):
+        if seen[e]:
+            continue
+        right.append([index[tuple(map(p.__getitem__, g))] for p in elems])
+        work = [(c, len(right) - 1) for c in reached]
+        while work:
+            c, k = work.pop()
+            b = right[k][c]
+            if not seen[b]:
+                seen[b] = True
+                reached.append(b)
+                steps.append((b, c, k))
+                work.extend((b, j) for j in range(len(right)))
+    table = []
+    for a in range(len(elems)):
+        row = [a] * len(elems)
+        for b, c, k in steps:
+            row[b] = right[k][row[c]]
+        table.append(row)
     names = ["".join(map(str, p)) for p in elems]
     return FinGroup(table, names=names, perms=elems, validate=False)
 

@@ -1,4 +1,4 @@
-from itertools import product as iproduct
+from itertools import permutations, product as iproduct
 
 import pytest
 from hypothesis import example, given, settings
@@ -71,11 +71,70 @@ def z2_power_cosets(k: int) -> set[Partition]:
                        for x in range(p.size)}) for h in subgroups}
 
 
+def brute_automorphisms(a: FinAlgebra) -> pf.FinGroup:
+    """Every permutation of the universe that preserves the operations,
+    closed under composition."""
+    return pf.perm_group_from_generators(
+        [p for p in permutations(range(a.size))
+         if pf.preserves_operations(a, p)], degree=a.size)
+
+
+def brute_malcev(a: FinAlgebra):
+    """Breadth-first search of the ternary clone on the whole n^3 cube:
+    the first Mal'cev member in discovery order, or None."""
+    n = a.size
+    cube = list(iproduct(range(n), repeat=3))
+
+    def is_malcev(t):
+        return all(t[(x * n + x) * n + y] == y == t[(y * n + x) * n + x]
+                   for x in range(n) for y in range(n))
+    elems = [tuple(c[k] for c in cube) for k in range(3)]
+    for t in elems:
+        if is_malcev(t):
+            return t
+    seen, frontier = set(elems), set(elems)
+    while frontier:
+        new = []
+        for j, (arity, _) in enumerate(a.ops):
+            for combo in iproduct(elems, repeat=arity):
+                if arity and not any(c in frontier for c in combo):
+                    continue
+                cand = tuple(a.apply(j, tuple(c[i] for c in combo))
+                             for i in range(n ** 3))
+                if cand not in seen:
+                    seen.add(cand)
+                    new.append(cand)
+                    if is_malcev(cand):
+                        return cand
+        elems, frontier = elems + new, set(new)
+    return None
+
+
+def build(base: str, points: int | None) -> FinAlgebra:
+    a = preset_algebra(base)
+    return pf.boolean_power(a, points) if points else a
+
+
 # Algebras on 2-4 elements with one binary and one unary operation.
 small_algebras = st.integers(2, 4).flatmap(lambda n: st.builds(
     lambda binary, unary: FinAlgebra(n, [(2, binary), (1, unary)]),
     st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n),
     st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+
+# The same with a constant, so that the constants may generate more.
+pointed_algebras = st.integers(1, 4).flatmap(lambda n: st.builds(
+    lambda c, binary, unary: FinAlgebra(n, [(0, [c]), (2, binary),
+                                            (1, unary)]),
+    st.integers(0, n - 1),
+    st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n),
+    st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+
+# Two-element algebras with up to three operations of arity 0-2: the whole
+# ternary clone has at most 2^8 members, so the full-cube oracle is quick.
+two_element_algebras = st.lists(st.integers(0, 2).flatmap(
+    lambda k: st.tuples(st.just(k), st.lists(
+        st.integers(0, 1), min_size=2 ** k, max_size=2 ** k))),
+    max_size=3).map(lambda ops: FinAlgebra(2, ops))
 
 # Every preset, then the Boolean powers the benchmark runs: (base, points).
 ALGEBRAS = ([(name, None) for name in ALGEBRA_PRESETS]
@@ -124,19 +183,37 @@ class TestMalcev:
                     assert table[(y * n + x) * n + x] == y
 
     def test_semilattice_has_none(self):
-        assert pf.malcev_term_exists(preset_algebra("2elt-semilattice")) \
-            is None
+        a = preset_algebra("2elt-semilattice")
+        assert pf.malcev_term_exists(a) is None and brute_malcev(a) is None
 
     def test_quasigroup_order3(self):
         # subtraction quasigroup: x - y mod 3 (a Latin square)
         a = FinAlgebra(3, [(2, [(x - y) % 3 for x in range(3)
                                 for y in range(3)])])
         table = pf.malcev_term_exists(a, cap=100000)
-        assert table is not None
+        assert table is not None and table == brute_malcev(a)
+
+    @pytest.mark.parametrize("base,points", ALGEBRAS)
+    def test_against_full_cube_oracle(self, base, points):
+        a = build(base, points)
+        assert pf.malcev_term_exists(a, cap=200000) == brute_malcev(a)
+
+    @settings(max_examples=200, deadline=None)
+    @given(two_element_algebras)
+    # f(x, x, x) is negation, reached only from the first round's tuple
+    # (x, x, x) of a single projection
+    @example(FinAlgebra(2, [(3, [1, 0, 1, 1, 0, 1, 0, 0])]))
+    def test_random_against_full_cube_oracle(self, a):
+        assert pf.malcev_term_exists(a) == brute_malcev(a)
 
     def test_cap_exhaustion(self):
         with pytest.raises(CapExhausted):
             pf.malcev_term_exists(preset_algebra("S3-as-group"), cap=10)
+
+    def test_cap_counts_restricted_tables(self):
+        with pytest.raises(CapExhausted) as exc:
+            pf.malcev_term_exists(preset_algebra("S3-as-group"), cap=10)
+        assert exc.value.stats["tables"] > 10
 
 
 class TestCongruences:
@@ -181,9 +258,7 @@ class TestCongruences:
 
     @pytest.mark.parametrize("base,points", ALGEBRAS)
     def test_is_simple_agrees_with_lattice(self, base, points):
-        a = preset_algebra(base)
-        if points:
-            a = pf.boolean_power(a, points)
+        a = build(base, points)
         assert pf.is_simple(a) == (len(pf.congruence_lattice(a)) == 2)
 
     @settings(max_examples=150, deadline=None)
@@ -313,6 +388,59 @@ class TestAutomorphisms:
     def test_cap(self):
         with pytest.raises(CapExhausted):
             pf.automorphisms(FinAlgebra(9, []), cap=8)
+
+    def test_cap_counts_candidate_images(self):
+        # 15 * 14 * 13 * 12 images of a 4-element basis of Z2^4
+        with pytest.raises(CapExhausted) as exc:
+            pf.automorphisms(pf.boolean_power(preset_algebra("Z2"), 4))
+        assert exc.value.stats == {"candidates": 32760}
+
+    @pytest.mark.parametrize("base,points", [
+        (b, k) for b, k in ALGEBRAS if build(b, k).size <= 8])
+    def test_against_all_permutations_oracle(self, base, points):
+        a = build(base, points)
+        got, want = pf.automorphisms(a), brute_automorphisms(a)
+        assert (got.perms, got.table, got.names) == \
+            (want.perms, want.table, want.names)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(small_algebras, pointed_algebras))
+    def test_random_against_all_permutations_oracle(self, a):
+        got, want = pf.automorphisms(a), brute_automorphisms(a)
+        assert (got.perms, got.table, got.names) == \
+            (want.perms, want.table, want.names)
+
+
+class TestRingPresets:
+    """Finite fields as rings without 1, so {0} is a pin: simple Mal'cev
+    algebras with automorphisms, the hypothesis of the paper."""
+
+    @pytest.mark.parametrize("name", ["F2", "F3", "F4"])
+    def test_simple_with_malcev_term(self, name):
+        a = preset_algebra(name)
+        assert pf.is_simple(a)
+        assert pf.malcev_term_exists(a) is not None
+        assert pf.is_idempotent(a, 0)
+
+    @pytest.mark.parametrize("k,order", [(1, 1), (2, 2), (3, 6)])
+    def test_f2_power_permutes_coordinates(self, k, order):
+        power = pf.boolean_power(preset_algebra("F2"), k)
+        assert pf.automorphisms(power).order == order
+
+    def test_f3_square(self):
+        power = pf.boolean_power(preset_algebra("F3"), 2)
+        assert pf.automorphisms(power).order == 2
+
+    def test_f4_square_beyond_permutation_search(self):
+        # Frobenius on each coordinate and the swap, on 16 elements
+        power = pf.boolean_power(preset_algebra("F4"), 2)
+        assert power.size == 16
+        assert pf.automorphisms(power).order == 8
+
+    def test_abelian_group_control(self):
+        # without multiplication Z2^3 has all of GL(3, 2)
+        power = pf.boolean_power(preset_algebra("Z2"), 3)
+        assert pf.automorphisms(power).order == 168
 
 
 class TestSpace:

@@ -198,6 +198,19 @@ class TestAlgebraPower:
         assert payload["malcev"] is not None
         assert payload["automorphism_order"] == 2
 
+    def test_ring_preset_automorphisms(self, capout):
+        rc, out = capout(["algebra", "--preset", "F4", "--automorphisms"])
+        assert rc == 0 and json.loads(out)["automorphism_order"] == 2
+
+    def test_automorphism_cap(self, tmp_path, capout):
+        z2_4 = pf.boolean_power(pf.preset_algebra("Z2"), 4)
+        p = write_json(tmp_path, "z2_4.json", jsonio.algebra_to_json(z2_4))
+        rc, out = capout(["algebra", "--in", p, "--automorphisms"])
+        assert rc == 3
+        payload = json.loads(out)
+        assert payload["cap_exhausted"] is True
+        assert payload["stats"] == {"candidates": 32760}
+
     def test_power_closed(self, capout):
         rc, out = capout(["power", "--preset", "Z3", "--points", "3",
                           "--marked", "0", "--pins", "0"])

@@ -4,7 +4,7 @@ import pytest
 
 import profin as pf
 from profin import FinGroup, Labelling
-from profin.groups import GROUP_PRESETS
+from profin.groups import GROUP_PRESETS, compose_perms
 
 
 def brute_element_order(t: FinGroup, g: int) -> int:
@@ -84,8 +84,30 @@ class TestPermClosure:
         with pytest.raises(ValueError):
             pf.perm_group_from_generators([(1, 0), (0, 2, 1)])
 
+    @pytest.mark.parametrize("gens", [
+        [(1, 0, 2), (1, 2, 0)],
+        [(1, 0, 3, 2), (1, 2, 0, 3)],
+        [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)],
+        [(1, 0, 2, 3, 4, 5), (0, 1, 3, 4, 5, 2)],
+    ])
+    def test_table_against_composition_oracle(self, gens):
+        t = pf.perm_group_from_generators(gens)
+        index = {p: i for i, p in enumerate(t.perms)}
+        assert t.table == tuple(
+            tuple(index[compose_perms(a, b)] for b in t.perms)
+            for a in t.perms)
+
 
 class TestValidation:
+    def test_inverse_is_first_two_sided_one(self):
+        # row 2 has a 0 at column 0, but 0 * 2 is not 0
+        t = FinGroup([[0, 1, 2], [1, 0, 2], [0, 1, 0]], validate=False)
+        assert t.inverse == (0, 1, 2)
+
+    def test_missing_inverse(self):
+        with pytest.raises(ValueError, match="no inverse"):
+            FinGroup([[0, 1, 2], [1, 2, 0], [2, 1, 1]], validate=False)
+
     def test_bad_identity(self):
         with pytest.raises(ValueError):
             FinGroup([[1, 0], [0, 1]])

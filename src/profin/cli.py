@@ -441,8 +441,11 @@ def _check_certificate(kind: Any, cert: dict[str, Any]) -> tuple[bool, str]:
         ok = (psi1.domain == psi2.domain
               == jsonio.structure_from_json(wit["structure"])
               and check_epimorphism(psi1) and check_epimorphism(psi2))
-        family = cert.get("family")
-        if ok and family:
+        family = cert["family"]
+        if family not in FAMILIES:
+            raise TypeError(f"family must be one of {', '.join(FAMILIES)}, "
+                            f"got {family!r}")
+        if ok:
             ok = bool(in_family(psi1.domain, family))
         if ok and kind == "pap":
             phi1 = jsonio.map_from_json(cert["phi1"])

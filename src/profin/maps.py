@@ -5,13 +5,15 @@ landing in the restricted families.
 An epimorphism is a vertex-surjective homomorphism whose relation images are
 exact: phi(s_i of the domain) equals s_i of the codomain, with constants
 preserved.  Each public witness function checks its inputs once, hands
-the search to a private helper that returns an unverified candidate, and
-verifies that candidate once before returning it.
+the construction to a private helper that returns an unverified candidate,
+and verifies that candidate once before returning it.  A candidate that
+misses F is replaced by its F cover, a construction of 4·Σ|R_i| vertices;
+``size_cap`` is the largest cover allowed (None for no cap), and only an
+explicit cap raises CapExhausted there.
 """
 
 from __future__ import annotations
 
-from itertools import product as iproduct
 from typing import Mapping
 
 from .errors import CapExhausted, VerificationError
@@ -469,58 +471,62 @@ def _reattach_fn(core: FinStructure, psi1: StructMap, psi2: StructMap,
     return full, StructMap(full, a1, map1), StructMap(full, a2, map2)
 
 
-def _f_member_stock(m: int) -> list[FinStructure]:
-    """Small known members of F, used to seed cover searches."""
-    if m != 1:
-        return []
-    xy = FinStructure(1, [0, 1], [{(0, 0), (0, 1), (1, 1)}],
-                      labels={0: "x", 1: "y"})
-    return [xy]
+def _f_cover(s: FinStructure,
+             size_cap: int | None) -> tuple[FinStructure, StructMap]:
+    """An F member covering the F0 structure ``s``, with its epimorphism.
 
-
-def _enumerate_f_members(m: int, size: int):
-    """All F structures on ``size`` vertices (feasible only at toy sizes)."""
-    verts = list(range(size))
-    pair_list = [(a, b) for a in verts for b in verts]
-    for masks in iproduct(range(1 << len(pair_list)), repeat=m):
-        rels = []
-        for mask in masks:
-            rels.append({pair_list[k] for k in range(len(pair_list))
-                         if mask >> k & 1})
-        try:
-            cand = FinStructure(m, verts, rels)
-        except ValueError:
-            continue
-        if in_family(cand, F):
-            yield cand
-
-
-def _f_cover_search(s: FinStructure, size_cap: int,
-                    budget: int) -> tuple[FinStructure, StructMap] | None:
-    """Bounded search for an F member covering ``s`` by an epimorphism.
-
-    Tries the structure itself, then stock members, then exhaustive
-    enumeration at toy sizes.  Raises CapExhausted when the bounded space
-    is exhausted without an answer either way.
+    ``s`` itself when it is in F.  Otherwise, for each relation i, each
+    pair e = (a, b) of R_i (the t-th in sorted order) and k in {0, 1}:
+    f(i,e,k) = 4t+2k over a and g(i,e,k) = 4t+2k+1 over b.  With c_v and
+    p_v the smallest R_i-successor and -predecessor of v, the R_i pairs
+    are f(i,e,k) -> g(i,e,j) for j in {0, 1}, g(i,e,k) -> g(i,(b,c_b),k)
+    and f(i,(p_a,a),k) -> f(i,e,k); a vertex w of another relation's type
+    over v has only w -> g(i,(v,c_v),k) and f(i,(p_v,v),k) -> w, with
+    w's own k.
+    - Degrees in R_i: f(i,.) has in-degree 1 (third rule) and out-degree
+      >= 2 (first rule); g(i,.) has out-degree 1 (second rule) and
+      in-degree >= 2 (first rule); any other vertex has 1 and 1.
+    - Tags: so each vertex is outgoing for exactly one relation or
+      converse, f(i,.) for R_i and g(i,.) for its converse.
+    - Covered pairs: every R_i pair has an f(i,.) tail or a g(i,.) head.
+    - Epimorphism: every pair maps onto (a,b), (b,c_b), (p_a,a), (v,c_v)
+      or (p_v,v) of R_i; f(i,e,0) -> g(i,e,0) covers e, and every vertex
+      of ``s`` is the tail of a pair.
+    The 4·Σ|R_i| vertices are counted before anything is built; above
+    ``size_cap`` (None for no cap) CapExhausted reports them as ``needed``.
     """
     if in_family(s, F):
         return s, identity_map(s)
-    for cand in _f_member_stock(s.m):
-        if len(cand.vertices) <= size_cap:
-            epi = find_epimorphism(cand, s, budget)
-            if epi is not None:
-                return cand, epi
-    max_enum = 4 if s.m == 1 else 3
-    for size in range(max(1, len(s.vertices)), min(size_cap, max_enum) + 1):
-        if s.m * size * size > 18:
-            break
-        for cand in _enumerate_f_members(s.m, size):
-            epi = find_epimorphism(cand, s, budget)
-            if epi is not None:
-                return cand, epi
-    raise CapExhausted(
-        f"no F cover of a {len(s.vertices)}-vertex structure found within "
-        f"size cap {size_cap}", budget=size_cap)
+    size = 4 * sum(len(rel) for rel in s.relations)
+    if size_cap is not None and size > size_cap:
+        raise CapExhausted(
+            f"the F cover of a {len(s.vertices)}-vertex structure has "
+            f"{size} vertices, above the size cap {size_cap}",
+            budget=size_cap, stats={"needed": size})
+    first = {(i, e): 4 * t for t, (i, e) in enumerate(
+        (i, e) for i in range(s.m) for e in sorted(s.relations[i]))}
+
+    def g_out(i: int, v: int, k: int) -> int:
+        return first[i, (v, s.out_neighbors(i, v)[0])] + 2 * k + 1
+
+    def f_in(i: int, v: int, k: int) -> int:
+        return first[i, (s.in_neighbors(i, v)[0], v)] + 2 * k
+
+    rels: list[set[tuple[int, int]]] = [set() for _ in range(s.m)]
+    mapping = {}
+    for (i, (a, b)), base in first.items():
+        for k in (0, 1):
+            f, g = base + 2 * k, base + 2 * k + 1
+            mapping[f], mapping[g] = a, b
+            rels[i].update(((f, base + 1), (f, base + 3),
+                            (g, g_out(i, b, k)), (f_in(i, a, k), f)))
+            for j in range(s.m):
+                if j != i:
+                    for w, v in ((f, a), (g, b)):
+                        rels[j].update(((w, g_out(j, v, k)),
+                                        (f_in(j, v, k), w)))
+    cover = FinStructure(s.m, range(size), rels)
+    return cover, StructMap(cover, s, mapping)
 
 
 def pap_witness(phi1: StructMap, phi2: StructMap, family: str,
@@ -529,10 +535,11 @@ def pap_witness(phi1: StructMap, phi2: StructMap, family: str,
 
     For the surjective families the core of the fibre product decides the
     question exactly: it is returned when its projections are epimorphisms
-    and None is returned otherwise (no witness exists at all).  For F the
-    core is the seed; when it misses the family, a bounded search for an F
-    cover of the core runs, reporting CapExhausted when inconclusive.  For
-    Fn the constant fibres are stripped first and re-attached afterwards.
+    and None is returned otherwise (no witness exists at all).  For F a
+    core that misses the family is replaced by its F cover, a construction
+    of 4·Σ|R_i| vertices; CapExhausted is raised only when that exceeds an
+    explicit ``size_cap`` (None for no cap).  For Fn the constant fibres
+    are stripped first and re-attached afterwards.  ``budget`` is unused.
     The inputs are checked once here and the witness once before return.
     """
     if phi1.codomain != phi2.codomain:
@@ -544,16 +551,14 @@ def pap_witness(phi1: StructMap, phi2: StructMap, family: str,
     for phi, role in ((phi1, "left map"), (phi2, "right map")):
         if not check_epimorphism(phi):
             raise ValueError(f"{role} is not an epimorphism")
-    if size_cap is None:
-        size_cap = len(a1.vertices) * len(a2.vertices) * 4
-    out = _pap(phi1, phi2, family, size_cap, budget)
+    out = _pap(phi1, phi2, family, size_cap)
     if out is not None:
         _verify_witness(family, *out, phi1, phi2)
     return out
 
 
-def _pap(phi1: StructMap, phi2: StructMap, family: str, size_cap: int,
-         budget: int):
+def _pap(phi1: StructMap, phi2: StructMap, family: str,
+         size_cap: int | None):
     """Unverified amalgamation candidate for epimorphisms between members
     of the family, or None when no witness exists."""
     if phi1 == phi2:
@@ -562,7 +567,7 @@ def _pap(phi1: StructMap, phi2: StructMap, family: str, size_cap: int,
     if family == FN:
         phi1_rest, fix1 = _strip_fn(phi1)
         phi2_rest, fix2 = _strip_fn(phi2)
-        inner = _pap(phi1_rest, phi2_rest, F, size_cap, budget)
+        inner = _pap(phi1_rest, phi2_rest, F, size_cap)
         if inner is None:
             return None
         return _reattach_fn(*inner, fix1, fix2, phi1.domain, phi2.domain)
@@ -575,7 +580,7 @@ def _pap(phi1: StructMap, phi2: StructMap, family: str, size_cap: int,
         return got
     if family != F:
         return None
-    cov, h = _f_cover_search(core, size_cap, budget)
+    cov, h = _f_cover(core, size_cap)
     return cov, compose(psi1, h), compose(psi2, h)
 
 
@@ -586,23 +591,24 @@ def jpp_witness(a1: FinStructure, a2: FinStructure, family: str,
     Surjective families take the full product (amalgamation over the
     one-point structure, which always works there).  For F the tactics
     are, in order: equal inputs, disjoint union glued by cross
-    homomorphisms, the full product, then CapExhausted.  For Fn the
-    constant-free parts are joined in F and fresh constants re-attached.
-    The inputs are checked once here and the witness once before return.
+    homomorphisms, the full product, and its F cover (a construction of
+    4·Σ|R_i| vertices) when the product misses F.  CapExhausted comes only
+    from an explicit ``size_cap`` (None for no cap) below that cover or
+    from ``budget`` in the homomorphism searches.  For Fn the constant-free
+    parts are joined in F and fresh constants re-attached.  The inputs
+    are checked once here and the witness once before return.
     """
     _require_family(a1, family, "left structure")
     _require_family(a2, family, "right structure")
     if a1.m != a2.m or a1.n != a2.n:
         raise ValueError("arity mismatch")
-    if size_cap is None:
-        size_cap = len(a1.vertices) * len(a2.vertices) * 4
     out = _jpp(a1, a2, family, size_cap, budget)
     _verify_witness(family, *out)
     return out
 
 
-def _jpp(a1: FinStructure, a2: FinStructure, family: str, size_cap: int,
-         budget: int):
+def _jpp(a1: FinStructure, a2: FinStructure, family: str,
+         size_cap: int | None, budget: int):
     """Unverified joint projection candidate for members of the family.
 
     The non-constant part of an Fn member is in F.  Over the one-point
@@ -644,20 +650,23 @@ def _jpp(a1: FinStructure, a2: FinStructure, family: str, size_cap: int,
     point = FinStructure(a1.m, [0], [{(0, 0)}] * a1.m, constants=[0] * a1.n)
     prod = fibre_product(StructMap(a1, point, dict.fromkeys(a1.vertices, 0)),
                          StructMap(a2, point, dict.fromkeys(a2.vertices, 0)))
-    if family == F and not in_family(prod[0], F):
-        raise CapExhausted("joint projection tactics exhausted for F",
-                           budget=size_cap)
-    return prod
+    if family != F or in_family(prod[0], F):
+        return prod
+    cov, h = _f_cover(prod[0], size_cap)
+    return cov, compose(prod[1], h), compose(prod[2], h)
 
 
 def coinitial_cover(s: FinStructure, target: str,
-                    size_cap: int = 16, budget: int = DEFAULT_BUDGET):
+                    size_cap: int | None = None,
+                    budget: int = DEFAULT_BUDGET):
     """Cover of a surjective structure by a member of the target family.
 
-    Target F0n always succeeds: the constant-free reduct gets a disjoint
-    spiral-union cover and fresh constant points are re-attached over the
-    old ones.  Target Fn needs F covers of the reduct components, found by
-    bounded search; a cap exhaustion is reported as unknown.
+    Both targets are constructions: the constant-free reduct gets a cover
+    and fresh constant points are re-attached over the old ones.  For F0n
+    the reduct's cover is a disjoint spiral union; for Fn it is the F
+    cover of 4·Σ|R_i| vertices (the reduct itself when it is in F), and
+    CapExhausted is raised only when that exceeds an explicit ``size_cap``
+    (None for no cap).  ``budget`` is unused.
     """
     from .groups import Labelling, preset_group
     from .spirals import surj_qp_cover
@@ -677,20 +686,7 @@ def coinitial_cover(s: FinStructure, target: str,
         wit = surj_qp_cover(reduct, lam, triv)
         cover, phi = wit.phi.domain, wit.phi
     else:
-        comps = connected_components(reduct)
-        pieces = []
-        piece_maps = []
-        for blk in comps.blocks:
-            comp = induced(reduct, blk)
-            cov, epi = _f_cover_search(comp, size_cap, budget)
-            pieces.append(cov)
-            piece_maps.append(epi)
-        cover, injs = disjoint_union(pieces)
-        mapping: dict[int, int] = {}
-        for inj, epi in zip(injs, piece_maps):
-            for v, w in inj.items():
-                mapping[w] = epi.mapping[v]
-        phi = StructMap(cover, reduct, mapping)
+        cover, phi = _f_cover(reduct, size_cap)
 
     full = expand_constants(cover, s.n)
     mapping = dict(phi.mapping)

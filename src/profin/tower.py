@@ -3,8 +3,9 @@
 A tower holds stages (all in the constant-expanded family) and bonds from
 each stage onto the previous one.  Universality tasks splice in a joint
 projection witness; extension tasks splice in an amalgamation witness.
-Tasks whose witness search runs out of budget are queued and retried after
-the tower grows, with the cap doubled once per retry.  A stage size guard
+Tasks whose witness exceeds its size cap, or whose homomorphism search runs
+out of budget, are queued and retried after the tower grows, with the cap
+doubled once per retry.  A stage size guard
 stops growth honestly rather than truncating.
 
 Bonds are checked one by one, never their composites: an epimorphism is
@@ -125,8 +126,8 @@ class Tower:
                                cap: int | None = None) -> bool:
         """Append a stage covering both the top and the target.
 
-        Returns False (and queues the task) when the witness search runs
-        out of budget or the stage guard would be exceeded.
+        Returns False (and queues the task) when the witness exceeds the
+        cap or the stage guard, or a search runs out of budget.
         """
         rep = in_family(target, FN)
         if not rep:

@@ -15,6 +15,12 @@ def xy_member() -> FinStructure:
                         labels={0: "x", 1: "y"})
 
 
+def loopless_member() -> FinStructure:
+    """A member of F without loops: no homomorphism sends xy into it."""
+    return FinStructure(1, range(4), [{(0, 3), (1, 2), (1, 3), (2, 0),
+                                       (2, 1), (3, 0)}])
+
+
 def two_cycle() -> FinStructure:
     return FinStructure(1, [0, 1], [{(0, 1), (1, 0)}])
 

@@ -161,6 +161,53 @@ class TestAmalgamate:
         verdict = json.loads(out3)
         assert rc3 == 1 and verdict["ok"] is False and verdict["detail"]
 
+    @pytest.mark.parametrize("family", [None, 5, "F1"])
+    def test_pap_certificate_needs_a_known_family(self, tmp_path, capout,
+                                                 family):
+        # the family is part of the claim: without a known one, nothing
+        # says which family the witness must be checked against
+        loop = pf.FinStructure(1, [0], [{(0, 0)}])
+        phi = pf.StructMap(two_cycle(), loop, {0: 0, 1: 0})
+        side = write_json(tmp_path, "l.json", jsonio.map_to_json(phi))
+        rc, out = capout(["amalgamate", "--family", "F0",
+                          "--left", side, "--right", side])
+        payload = json.loads(out)
+        assert rc == 0 and payload["family"] == "F0"
+        if family is None:
+            del payload["family"]
+        else:
+            payload["family"] = family
+        rc2, out2 = capout(["verify", "--in",
+                            write_json(tmp_path, "w.json", payload)])
+        assert rc2 == 2 and "family" in json.loads(out2)["error"]
+
+    def test_f_pap_whose_core_misses_f(self, tmp_path, capout):
+        # two 3-vertex members onto xy whose fibre product has a 5-vertex
+        # core with 11 pairs that is not in F: the witness is the core's
+        # 44-vertex F cover, and a lower cap reports what it needs
+        xy = xy_member()
+        a1 = pf.FinStructure(1, range(3), [{(0, 0), (0, 1), (0, 2), (1, 1),
+                                            (2, 2)}])
+        a2 = pf.FinStructure(1, range(3), [{(0, 0), (1, 0), (1, 1), (1, 2),
+                                            (2, 2)}])
+        left = write_json(tmp_path, "l.json", jsonio.map_to_json(
+            pf.StructMap(a1, xy, {0: 0, 1: 0, 2: 1})))
+        right = write_json(tmp_path, "r.json", jsonio.map_to_json(
+            pf.StructMap(a2, xy, {0: 1, 1: 0, 2: 0})))
+        argv = ["amalgamate", "--family", "F", "--left", left,
+                "--right", right]
+        rc, out = capout(argv)
+        payload = json.loads(out)
+        assert rc == 0
+        assert len(payload["witness"]["structure"]["vertices"]) == 44
+        rc2, out2 = capout(["verify", "--in",
+                            write_json(tmp_path, "w.json", payload)])
+        assert rc2 == 0 and json.loads(out2)["ok"] is True
+        rc3, out3 = capout(argv + ["--cap", "20"])
+        verdict = json.loads(out3)
+        assert rc3 == 3 and verdict["cap_exhausted"] is True
+        assert verdict["stats"] == {"needed": 44}
+
 
 class TestQp:
     def test_label_subcommand(self, tmp_path, capout):
@@ -341,7 +388,7 @@ class TestVerifyRejectsTampering:
         double, _ = pf.disjoint_union([xy_member(), xy_member()])
         ident = {s: jsonio.map_to_json(pf.StructMap(
             s, s, {v: v for v in s.vertices})) for s in (xy_member(), double)}
-        cert = {"kind": "jpp", "exists": True, "witness": {
+        cert = {"kind": "jpp", "family": "F", "exists": True, "witness": {
             "structure": jsonio.structure_to_json(
                 double if structure_double else xy_member()),
             "psi1": ident[double if psi1_double else xy_member()],

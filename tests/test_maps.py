@@ -7,8 +7,8 @@ import profin as pf
 from profin import (CapExhausted, F, F0, F0N, FN, FinStructure, Partition,
                     StructMap, maps)
 
-from conftest import (cycle_structure, loop_structure, random_f0,
-                      random_partition, two_cycle, xy_member)
+from conftest import (cycle_structure, loop_structure, loopless_member,
+                      random_f0, random_partition, two_cycle, xy_member)
 
 
 def brute_force_epi_exists(a: FinStructure, b: FinStructure) -> bool:
@@ -476,9 +476,9 @@ class TestJpp:
 
     def test_f_product_tactic_is_last(self):
         # no homomorphism sends xy's loops into this loopless member, so
-        # only the full product is left, and it is not in F
-        loopless = FinStructure(1, range(4), [{(0, 3), (1, 2), (1, 3),
-                                               (2, 0), (2, 1), (3, 0)}])
+        # only the full product is left; it is not in F, so its F cover
+        # (4 vertices per product pair, 3 x 6 pairs) is the witness
+        loopless = loopless_member()
         assert pf.in_family(loopless, F).ok
         assert pf.find_homomorphism(xy_member(), loopless) is None
         point = loop_structure()
@@ -486,8 +486,12 @@ class TestJpp:
             StructMap(xy_member(), point, _collapse(xy_member())),
             StructMap(loopless, point, _collapse(loopless)))
         assert not pf.in_family(prod, F)
-        with pytest.raises(CapExhausted, match="tactics exhausted"):
-            pf.jpp_witness(xy_member(), loopless, F)
+        b, psi1, psi2 = pf.jpp_witness(xy_member(), loopless, F)
+        assert len(b.vertices) == 72 and pf.in_family(b, F).ok
+        assert pf.check_epimorphism(psi1) and pf.check_epimorphism(psi2)
+        with pytest.raises(CapExhausted) as info:
+            pf.jpp_witness(xy_member(), loopless, F, size_cap=32)
+        assert info.value.stats == {"needed": 72}
 
     def test_random_f0_jpp_always_succeeds(self, rng):
         for _ in range(15):
@@ -523,8 +527,9 @@ class TestCoinitialCover:
 
     def test_fn_cap_exhaustion_reported(self):
         c5 = cycle_structure(5)
-        with pytest.raises(CapExhausted):
+        with pytest.raises(CapExhausted) as info:
             pf.coinitial_cover(c5, FN, size_cap=4)
+        assert info.value.stats == {"needed": 20}
 
     def test_f0n_never_fails(self, rng):
         for _ in range(10):
@@ -533,6 +538,98 @@ class TestCoinitialCover:
             cover, phi = pf.coinitial_cover(s, F0N)
             assert pf.in_family(cover, F0N).ok
             assert pf.check_epimorphism(phi)
+
+
+def enumerate_f_members(m: int, size: int):
+    """All F structures on ``size`` vertices (feasible only at toy sizes)."""
+    verts = list(range(size))
+    pair_list = [(a, b) for a in verts for b in verts]
+    for masks in iproduct(range(1 << len(pair_list)), repeat=m):
+        rels = [{pair_list[k] for k in range(len(pair_list)) if mask >> k & 1}
+                for mask in masks]
+        cand = FinStructure(m, verts, rels)
+        if pf.in_family(cand, F):
+            yield cand
+
+
+def all_epimorphisms(members: list[FinStructure]) -> list[StructMap]:
+    """Every epimorphism between the members, by trying all vertex maps."""
+    out = []
+    for a in members:
+        for b in members:
+            va, vb = a.sorted_vertices(), b.sorted_vertices()
+            for img in iproduct(vb, repeat=len(va)):
+                phi = StructMap(a, b, dict(zip(va, img)))
+                if pf.check_epimorphism(phi):
+                    out.append(phi)
+    return out
+
+
+def random_f0n(rng: random.Random) -> FinStructure:
+    """Random F0n structure: 1-2 constants on looped random vertices."""
+    s = random_f0(rng, max_size=12, m=rng.randint(1, 2))
+    consts = rng.sample(s.sorted_vertices(), rng.randint(1, 2))
+    rels = [set(rel) | {(c, c) for c in consts} for rel in s.relations]
+    return FinStructure(s.m, s.vertices, rels, constants=consts)
+
+
+def f_cover_size(s: FinStructure) -> int:
+    return 4 * sum(map(len, s.relations))
+
+
+class TestFCoverOracle:
+    """The F cover construction against an exhaustive enumeration of small
+    F members: every span, pair and random structure gets a witness."""
+
+    members = [s for size in (1, 2, 3) for s in enumerate_f_members(1, size)]
+    epis = all_epimorphisms(members)
+
+    def test_enumeration_counts_and_holds_the_small_members(self):
+        assert len(self.members) == 14 and len(self.epis) == 124
+        for s in f_members(1):
+            assert s in self.members
+
+    def test_pap_answers_every_span(self):
+        spans = 0
+        for phi1 in self.epis:
+            for phi2 in self.epis:
+                if phi1.codomain != phi2.codomain:
+                    continue
+                got = pf.pap_witness(phi1, phi2, F)
+                assert got is not None
+                c, psi1, psi2 = got
+                assert pf.in_family(c, F).ok
+                assert pf.check_epimorphism(psi1)
+                assert pf.check_epimorphism(psi2)
+                assert pf.compose(phi1, psi1) == pf.compose(phi2, psi2)
+                core = maps._core_candidate(phi1, phi2)[0]
+                if phi1 != phi2 and not pf.in_family(core, F):
+                    assert len(c.vertices) == f_cover_size(core)
+                spans += 1
+        assert spans == 1784
+
+    def test_jpp_answers_every_pair(self):
+        for a1 in self.members:
+            for a2 in self.members:
+                b, psi1, psi2 = pf.jpp_witness(a1, a2, F)
+                assert pf.in_family(b, F).ok
+                assert pf.check_epimorphism(psi1)
+                assert pf.check_epimorphism(psi2)
+
+    def test_coinitial_fn_covers_random_structures(self):
+        rng = random.Random(22)
+        for _ in range(200):
+            s = random_f0n(rng)
+            cover, phi = pf.coinitial_cover(s, FN)
+            assert pf.in_family(cover, FN).ok
+            assert pf.check_epimorphism(phi)
+            if pf.in_family(s, FN):
+                assert cover == s
+                continue
+            reduct = pf.induced(s, s.vertices, keep_constants=False)
+            size = (len(reduct.vertices) if pf.in_family(reduct, F)
+                    else f_cover_size(reduct))
+            assert len(cover.vertices) == size + s.n
 
 
 def f_members(m: int) -> list[FinStructure]:

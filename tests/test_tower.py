@@ -5,7 +5,7 @@ import pytest
 import profin as pf
 from profin import FinStructure, StructMap, maps, structures, tower
 
-from conftest import two_cycle, xy_member
+from conftest import loopless_member, two_cycle, xy_member
 
 
 def seed_fn(n: int = 1) -> FinStructure:
@@ -228,6 +228,18 @@ class TestSchedulerAndGuard:
         t.retry_pending()
         if t.pending:
             assert t.pending[0].cap == cap_before * 2
+
+    def test_retry_with_doubled_cap_discharges(self):
+        # the jpp witness of xy and the loopless member is the F cover of
+        # their product, 72 vertices: above the first cap of 3 * 5 * 4,
+        # within the doubled one
+        t = pf.Tower.new(seed_fn(), stage_guard=100)
+        target = pf.expand_constants(loopless_member(), 1)
+        assert not t.discharge_universality(target)
+        assert t.pending[0].cap == 60
+        assert t.retry_pending() == 1 and not t.pending
+        assert t.status().sizes == [3, 73]
+        t.verify_integrity()
 
     def test_status_reports_partial_honestly(self):
         t = pf.Tower.new(seed_fn(), stage_guard=3)

@@ -3,14 +3,12 @@ powers, and certified conjugator constructions."""
 
 from .errors import CapExhausted, VerificationError
 from .structures import (F, F0, F0N, FN, FinStructure, MembershipReport,
-                         Partition, PartitionRelationTuple,
-                         connected_components, disjoint_union,
-                         expand_constants, in_basic_open, in_family, induced,
+                         Partition, connected_components, disjoint_union,
+                         expand_constants, in_family, induced,
                          is_surjective_relation, outgoing_classification,
-                         quotient, restrict_map_to_partition,
-                         surjective_core)
+                         quotient, surjective_core)
 from .groups import (FinGroup, Labelling, cyclic_group, exponent,
-                     perm_group_from_generators, preset_group, product_along,
+                     perm_group_from_generators, preset_group,
                      subgroup_closure)
 from .maps import (StructMap, check_epimorphism, check_homomorphism,
                    coinitial_cover, compose, fibre_product, find_epimorphism,
@@ -25,8 +23,7 @@ from .algebra import (BooleanPowerAlgebra, BooleanPowerSpace, FinAlgebra,
                       pin_closure_violation, preset_algebra,
                       preserves_operations)
 from .autgroup import (Hbar, Khat, PowerAut, ProductAut, TransconjInstance,
-                       conjugate, conjugation_identity_check,
-                       cycle_cover_instance, decompose, elements_equal,
+                       conjugate, cycle_cover_instance, elements_equal,
                        function_space, pinned_union_instance, qp_conjugator)
 from .tower import Tower, TowerStatus
 

@@ -11,7 +11,7 @@ and inverses stay in normal form at O(|X|*|A|) cost, and for |A| >= 2 the
 wreath product Sym(A) wr Sym(free X) acts faithfully on the free
 coordinates, so two elements are equal exactly when their normal forms
 are.  Evaluation on the full function space D (``function_space`` and
-``PowerAut.act``, the only users of numpy) is the test oracle.
+``PowerAut.act``, on tuples of rows) is the test oracle.
 
 Set-mode: the carrier A is a plain finite set and kernel values are
 arbitrary permutations of it.  Algebra-mode: A is a FinAlgebra and kernel
@@ -23,50 +23,44 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import TYPE_CHECKING, Mapping, Sequence
+from itertools import product
+from typing import Mapping, Sequence
 
 from .algebra import BooleanPowerSpace, FinAlgebra, preserves_operations
 from .errors import CapExhausted, VerificationError
 from .groups import (FinGroup, Labelling, compose_perms, exponent,
                      invert_perm)
 from .maps import StructMap, check_epimorphism
-from .spirals import (QPWitness, Spiral, _propagate_mu, mu_values_in_subgroup,
-                      verify_qp)
+from .spirals import QPWitness, Spiral, _propagate_mu, verify_qp
 from .structures import FinStructure, Partition, disjoint_union, quotient
 
-if TYPE_CHECKING:
-    import numpy as np
-
-_ROW_CAP = 2 ** 22
+# Rows are Python tuples: a table at the cap (19 points, |A| = 2) takes
+# about 104 MB, and the cache below keeps up to 8 tables.
+_ROW_CAP = 2 ** 19
 
 
 @lru_cache(maxsize=8)
-def _function_table(a_size: int, points: int, marked: tuple[int, ...],
-                    pins: tuple[int, ...]) -> np.ndarray:
-    """All pinned functions X -> A as rows, free coordinates in lex order."""
-    import numpy as np
-    free = [x for x in range(points) if x not in set(marked)]
+def function_space(space: BooleanPowerSpace,
+                   a_size: int) -> tuple[tuple[int, ...], ...]:
+    """Every element of D, one function per row, free coordinates in lex
+    order.
+
+    Raises ``CapExhausted`` above ``_ROW_CAP`` rows instead of allocating.
+    """
+    free = space.free_points()
     count = a_size ** len(free)
     if count > _ROW_CAP:
         raise CapExhausted(f"{count} functions exceed the row cap",
                            budget=_ROW_CAP, stats={"rows": count})
-    arr = np.zeros((count, points), dtype=np.int16)
-    for x, e in zip(marked, pins):
-        arr[:, x] = e
-    ticks = np.arange(count)
-    for rank, x in enumerate(reversed(free)):
-        arr[:, x] = (ticks // (a_size ** rank)) % a_size
-    return arr
-
-
-def function_space(space: BooleanPowerSpace, a_size: int) -> np.ndarray:
-    """Read-only array of every element of D (one function per row).
-
-    Raises ``CapExhausted`` above ``_ROW_CAP`` rows instead of allocating.
-    """
-    arr = _function_table(a_size, space.points, space.marked, space.pins)
-    arr.setflags(write=False)
-    return arr
+    row = [0] * space.points
+    for x, e in zip(space.marked, space.pins):
+        row[x] = e
+    table = []
+    for vals in product(range(a_size), repeat=len(free)):
+        for x, v in zip(free, vals):
+            row[x] = v
+        table.append(tuple(row))
+    return tuple(table)
 
 
 def _carrier_size(carrier: FinAlgebra | int) -> int:
@@ -111,22 +105,20 @@ class PowerAut:
         return (self.space, self.a_size, self.perm, self.values) == \
             (other.space, other.a_size, other.perm, other.values)
 
-    def act(self, arr: np.ndarray) -> np.ndarray:
-        """The element on every row of ``arr``; the evaluation oracle."""
-        import numpy as np
-        out = arr.copy()
-        for x, p in self.values.items():
-            out[:, x] = np.asarray(p, dtype=np.int16)[arr[:, x]]
-        return out[:, list(invert_perm(self.perm))]
+    def act(self, rows: Sequence[tuple[int, ...]]
+            ) -> tuple[tuple[int, ...], ...]:
+        """The element on every row of ``rows``; the evaluation oracle."""
+        inv = invert_perm(self.perm)
+        out = []
+        for row in rows:
+            f = list(row)
+            for x, p in self.values.items():
+                f[x] = p[row[x]]
+            out.append(tuple(f[y] for y in inv))
+        return tuple(out)
 
     def __repr__(self) -> str:
         return f"PowerAut({self.perm}, {len(self.values)} kernel values)"
-
-
-def _identity_values(space: BooleanPowerSpace,
-                     a_size: int) -> dict[int, tuple[int, ...]]:
-    ident = tuple(range(a_size))
-    return {x: ident for x in space.free_points()}
 
 
 def Hbar(space: BooleanPowerSpace, carrier: FinAlgebra | int,
@@ -138,8 +130,9 @@ def Hbar(space: BooleanPowerSpace, carrier: FinAlgebra | int,
     for x in space.marked:
         if p[x] != x:
             raise ValueError(f"marked point {x} is moved")
+    ident = tuple(range(_carrier_size(carrier)))
     return PowerAut(space, carrier, p,
-                    _identity_values(space, _carrier_size(carrier)))
+                    {x: ident for x in space.free_points()})
 
 
 def Khat(space: BooleanPowerSpace, carrier: FinAlgebra | int,
@@ -174,12 +167,6 @@ def ProductAut(factors: Sequence[PowerAut]) -> PowerAut:
     return reduce(operator.mul, factors)
 
 
-def identity_khat(space: BooleanPowerSpace,
-                  carrier: FinAlgebra | int) -> PowerAut:
-    return Khat(space, carrier,
-                _identity_values(space, _carrier_size(carrier)))
-
-
 def elements_equal(e1: PowerAut, e2: PowerAut, space: BooleanPowerSpace,
                    carrier: FinAlgebra | int) -> bool:
     """Equality as bijections of D, decided by normal form."""
@@ -191,34 +178,12 @@ def conjugate(h: PowerAut, c: PowerAut) -> PowerAut:
     return c.inverse() * h * c
 
 
-def conjugation_identity_check(space: BooleanPowerSpace,
-                               carrier: FinAlgebra | int,
-                               values: Mapping[int, Sequence[int]],
-                               h_perm: Sequence[int]) -> bool:
-    """hbar khat hbar^-1 agrees with the kernel map composed with h^-1.
-
-    Witnesses normality of the kernel side; decided by normal form.
-    """
-    h = Hbar(space, carrier, h_perm)
-    hinv = invert_perm(h.perm)
-    moved = {x: values[hinv[x]] for x in space.free_points()}
-    return h * Khat(space, carrier, values) * h.inverse() == \
-        Khat(space, carrier, moved)
-
-
 def preserves_filtered_operations(elem: PowerAut, a: FinAlgebra,
                                   space: BooleanPowerSpace) -> bool:
     """The element is an algebra automorphism of D: shuffles preserve the
     pointwise operations and the free coordinates range over all of A, so
     exactly when every kernel value of its normal form is one of A."""
     return all(preserves_operations(a, p) for p in elem.values.values())
-
-
-def decompose(g: PowerAut) -> tuple[PowerAut, PowerAut]:
-    """Normal form g = hbar(d) o khat(k), as the pair (khat(k), hbar(d))."""
-    return (PowerAut(g.space, g.a_size, range(g.space.points), g.values),
-            PowerAut(g.space, g.a_size, g.perm,
-                     _identity_values(g.space, g.a_size)))
 
 
 @dataclass
@@ -317,8 +282,7 @@ class TransconjInstance:
                         f"label at point {x}")
 
 
-def qp_conjugator(inst: TransconjInstance,
-                  carrier: FinAlgebra | int | None = None) -> PowerAut:
+def qp_conjugator(inst: TransconjInstance) -> PowerAut:
     """Kernel element c with a_i o hbar_i = c^-1 o hbar_i o c for all i.
 
     The instance is re-verified first; the conjugator value at x is the
@@ -326,9 +290,7 @@ def qp_conjugator(inst: TransconjInstance,
     ``verify_conjugator``.
     """
     inst.verify()
-    if carrier is None:
-        carrier = inst.a_size
-    c = Khat(inst.space, carrier,
+    c = Khat(inst.space, inst.a_size,
              {x: inst.action[inst.mu.component(inst.psi[x], 0)]
               for x in inst.space.free_points()})
     verify_conjugator(inst, c)
@@ -538,16 +500,10 @@ def conjugator_values_in_stabiliser(c: PowerAut, points: frozenset[int],
     return all(c.values[x][pin] == pin for x in points)
 
 
-def mu_subgroup_check(inst: TransconjInstance) -> bool:
-    """mu values lie in the subgroup generated by the block labels."""
-    return mu_values_in_subgroup(QPWitness(inst.phi2, inst.lam, inst.mu))
-
-
 __all__ = [
     "Hbar", "Khat", "PowerAut", "ProductAut", "TransconjInstance",
-    "check_action", "conjugate", "conjugation_identity_check",
-    "conjugator_values_in_stabiliser", "cycle_cover_instance", "decompose",
-    "elements_equal", "function_space", "identity_khat",
-    "mu_subgroup_check", "natural_action", "pinned_union_instance",
+    "check_action", "conjugate", "conjugator_values_in_stabiliser",
+    "cycle_cover_instance", "elements_equal", "function_space",
+    "natural_action", "pinned_union_instance",
     "preserves_filtered_operations", "qp_conjugator", "verify_conjugator",
 ]

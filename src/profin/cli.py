@@ -446,7 +446,10 @@ def _check_certificate(kind: Any, cert: dict[str, Any]) -> tuple[bool, str]:
             raise TypeError(f"family must be one of {', '.join(FAMILIES)}, "
                             f"got {family!r}")
         if ok:
-            ok = bool(in_family(psi1.domain, family))
+            try:
+                ok = bool(in_family(psi1.domain, family))
+            except ValueError as exc:  # the family does not fit n
+                ok, detail = False, str(exc)
         if ok and kind == "pap":
             phi1 = jsonio.map_from_json(cert["phi1"])
             phi2 = jsonio.map_from_json(cert["phi2"])
@@ -490,30 +493,26 @@ def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="profin")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--out", default=None)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--cap", type=int, default=None)
-
     p = sub.add_parser("check")
     p.add_argument("--family", choices=FAMILIES, required=True)
     p.add_argument("--in", dest="infile", required=True)
-    add_common(p)
+    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("epi")
     p.add_argument("--dom", required=True)
     p.add_argument("--cod", required=True)
-    add_common(p)
+    p.add_argument("--cap", type=int, default=10_000_000)
+    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_epi)
-    p.set_defaults(cap=10_000_000)
 
     p = sub.add_parser("amalgamate")
     p.add_argument("--family", choices=FAMILIES, required=True)
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
     p.add_argument("--jpp", action="store_true")
-    add_common(p)
+    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_amalgamate)
 
     p = sub.add_parser("spiral")
@@ -523,7 +522,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-r", type=int, required=True)
     p.add_argument("-t", type=int, default=1)
     p.add_argument("--dot", action="store_true")
-    add_common(p)
+    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_spiral)
 
     p = sub.add_parser("qp")
@@ -538,7 +537,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=int, default=1)
     p.add_argument("--x0", default="a1")
     p.add_argument("--alpha", type=int, default=0)
-    add_common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_qp)
 
     p = sub.add_parser("algebra")
@@ -548,7 +548,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--malcev", action="store_true")
     p.add_argument("--idempotents", action="store_true")
     p.add_argument("--automorphisms", action="store_true")
-    add_common(p)
+    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_algebra)
 
     p = sub.add_parser("power")
@@ -557,14 +557,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, required=True)
     p.add_argument("--marked", type=int, nargs="*", default=None)
     p.add_argument("--pins", type=int, nargs="*", default=None)
-    add_common(p)
+    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_power)
 
     p = sub.add_parser("transconj")
     p.add_argument("action", choices=["demo"])
     p.add_argument("--preset", default="z2-spiral")
     p.add_argument("--dot", action="store_true")
-    add_common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_transconj)
 
     p = sub.add_parser("tower")
@@ -574,12 +575,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--guard", type=int, default=64)
     p.add_argument("--retries", type=int, default=3)
     p.add_argument("--dot", action="store_true")
-    add_common(p)
+    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_tower)
 
     p = sub.add_parser("verify")
     p.add_argument("--in", dest="infile", required=True)
-    add_common(p)
+    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_verify)
 
     return ap

@@ -89,16 +89,6 @@ def exponent(t: FinGroup) -> int:
     return lcm(*(t.element_order(a) for a in t.elements()))
 
 
-def product_along(t: FinGroup, elems: Sequence[int]) -> int:
-    """Left-to-right product of a nonempty element sequence."""
-    if not elems:
-        raise ValueError("product_along requires a nonempty sequence")
-    acc = elems[0]
-    for g in elems[1:]:
-        acc = t.table[acc][g]
-    return acc
-
-
 def compose_perms(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
     """Composition p after q: (p∘q)(x) = p(q(x))."""
     return tuple(p[q[x]] for x in range(len(p)))

@@ -184,22 +184,16 @@ def _propagate_mu(cover: Spiral, phi: StructMap, lam: Labelling,
 
 
 def spiral_qp_labelling(base: Spiral, lam: Labelling, component: int,
-                        t_group: FinGroup, x0: int, alpha: int,
-                        t: int | None = None) -> QPWitness:
+                        t_group: FinGroup, x0: int, alpha: int) -> QPWitness:
     """Labelling of the exponent-fold spiral cover satisfying QP.
 
     ``lam`` labels the base spiral with width-m tuples; ``component`` picks
     the coordinate the single spiral relation stands for.  ``x0`` is a
-    vertex of the cover S(tp, q, tr) and mu(x0) = alpha.  The two wrap
-    edges hold by the exponent telescoping and are re-checked; a t other
-    than the group exponent is rejected.
+    vertex of the cover S(tp, q, tr), t the group exponent, and
+    mu(x0) = alpha.  The two wrap edges hold by the exponent telescoping
+    and are re-checked.
     """
-    exp = exponent(t_group)
-    if t is None:
-        t = exp
-    if t != exp:
-        raise ValueError(f"t={t} differs from the group exponent {exp}; "
-                         "the wrap identity may fail")
+    t = exponent(t_group)
     if not 0 <= component < lam.width:
         raise ValueError(f"component {component} out of range")
     if lam.carrier != base.structure.vertices:

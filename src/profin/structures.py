@@ -163,52 +163,6 @@ class Partition:
         return f"Partition({[sorted(b) for b in self.blocks]})"
 
 
-class PartitionRelationTuple:
-    """m relations on the blocks of a partition, with designated fixed blocks.
-
-    The fixed blocks are those containing marked points; admissibility
-    requires a loop at each of them and surjectivity of every relation.
-    """
-
-    __slots__ = ("partition", "relations", "fixed_blocks")
-
-    def __init__(
-        self,
-        partition: Partition,
-        relations: Sequence[Iterable[Pair]],
-        fixed_blocks: Iterable[int] = (),
-    ):
-        k = len(partition)
-        rels = []
-        for i, rel in enumerate(relations):
-            rel = frozenset((int(a), int(b)) for a, b in rel)
-            for a, b in rel:
-                if not (0 <= a < k and 0 <= b < k):
-                    raise ValueError(
-                        f"relation {i} pair ({a},{b}) is not over block ids")
-            rels.append(rel)
-        fixed = frozenset(int(b) for b in fixed_blocks)
-        for b in fixed:
-            if not 0 <= b < k:
-                raise ValueError(f"fixed block {b} out of range")
-        self.partition = partition
-        self.relations = tuple(rels)
-        self.fixed_blocks = fixed
-
-    def is_admissible(self) -> bool:
-        """Every relation surjective on blocks, with loops at fixed blocks."""
-        k = len(self.partition)
-        for rel in self.relations:
-            outs = {a for a, _ in rel}
-            ins = {b for _, b in rel}
-            if len(outs) < k or len(ins) < k:
-                return False
-            for b in self.fixed_blocks:
-                if (b, b) not in rel:
-                    return False
-        return True
-
-
 @dataclass(frozen=True)
 class MembershipReport:
     """Outcome of a family membership test, naming the first violation."""
@@ -431,28 +385,6 @@ def quotient(s: FinStructure, p: Partition):
                      labels=labels)
     proj = StructMap(s, q, {v: p.block_of(v) for v in s.vertices})
     return q, proj
-
-
-def restrict_map_to_partition(f: Mapping[int, int],
-                              p: Partition) -> frozenset[Pair]:
-    """Block relation of a bijection: pairs (b,c) with f(b) meeting c."""
-    if set(f.keys()) != set(p.ground) or set(f.values()) != set(p.ground):
-        raise ValueError("f is not a bijection of the partitioned set")
-    if len(set(f.values())) != len(f):
-        raise ValueError("f is not a bijection of the partitioned set")
-    return frozenset((p.block_of(v), p.block_of(f[v])) for v in p.ground)
-
-
-def in_basic_open(h: Sequence[Mapping[int, int]], p: Partition,
-                  s: PartitionRelationTuple) -> bool:
-    """True iff each h_i restricts to exactly the given block relation."""
-    if s.partition != p:
-        raise ValueError("relation tuple is not over the given partition")
-    if len(h) != len(s.relations):
-        raise ValueError(
-            f"arity mismatch: {len(h)} maps vs {len(s.relations)} relations")
-    return all(restrict_map_to_partition(h[i], p) == s.relations[i]
-               for i in range(len(h)))
 
 
 def induced(s: FinStructure, keep: Iterable[int],

@@ -181,6 +181,24 @@ class TestAmalgamate:
                             write_json(tmp_path, "w.json", payload)])
         assert rc2 == 2 and "family" in json.loads(out2)["error"]
 
+    @pytest.mark.parametrize("family", ["F", "F0"])
+    def test_family_that_misses_the_constants_is_false(self, tmp_path,
+                                                       capout, family):
+        # a well-formed Fn jpp certificate claimed for a family without
+        # constants proves nothing: verified false, not a usage error
+        side = structure_file(tmp_path, "a.json",
+                              pf.expand_constants(xy_member(), 1))
+        rc, out = capout(["amalgamate", "--jpp", "--family", "Fn",
+                          "--left", side, "--right", side])
+        payload = json.loads(out)
+        assert rc == 0 and payload["exists"] is True
+        payload["family"] = family
+        rc2, out2 = capout(["verify", "--in",
+                            write_json(tmp_path, "w.json", payload)])
+        verdict = json.loads(out2)
+        assert rc2 == 1 and verdict["ok"] is False
+        assert verdict["detail"] == f"family {family} requires n=0, got n=1"
+
     def test_f_pap_whose_core_misses_f(self, tmp_path, capout):
         # two 3-vertex members onto xy whose fibre product has a 5-vertex
         # core with 11 pairs that is not in F: the witness is the core's
@@ -500,3 +518,13 @@ class TestEntryPoint:
     def test_unknown_command_usage_error(self, capout):
         rc, _ = capout(["frobnicate"])
         assert rc == 2
+
+    def test_flag_the_subcommand_does_not_read_is_usage_error(
+            self, tmp_path, capout):
+        # --seed belongs to qp and transconj, --cap to epi and amalgamate
+        p = structure_file(tmp_path, "s.json", xy_member())
+        argv = ["check", "--family", "F0", "--in", p]
+        assert capout(argv)[0] == 0
+        for extra in (["--seed", "9"], ["--cap", "1"]):
+            rc, out = capout(argv + extra)
+            assert rc == 2 and out == ""

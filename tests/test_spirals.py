@@ -126,12 +126,6 @@ class TestSpiralQP:
             assert w.mu.component(x0, 0) == alpha
             assert pf.verify_qp(w).ok
 
-    def test_wrong_exponent_rejected(self):
-        sp = pf.make_spiral(2, 1, 2)
-        with pytest.raises(ValueError):
-            pf.spiral_qp_labelling(sp, worked_labelling(sp), 0, z2(),
-                                   0, 0, t=4)
-
     def test_mu_in_label_subgroup_for_identity_seed(self):
         sp = pf.make_spiral(2, 1, 2)
         z4 = pf.preset_group("Z4")

@@ -5,8 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import profin as pf
-from profin import (F, F0, F0N, FN, FinStructure, Partition,
-                    PartitionRelationTuple)
+from profin import F, F0, F0N, FN, FinStructure, Partition
 
 from conftest import (loop_structure, random_f0, random_partition,
                       two_cycle, xy_member)
@@ -362,17 +361,26 @@ class TestQuotient:
             assert pf.in_family(q, F0).ok
 
 
+def block_quotient(h, p, marked=()):
+    """Block structure of bijections h_i of the partitioned set: the
+    quotient of their point structure, marked points as constants."""
+    xs = FinStructure(len(h), p.ground,
+                      [{(x, f[x]) for x in p.ground} for f in h],
+                      constants=marked)
+    return pf.quotient(xs, p)[0]
+
+
 class TestRestrictMap:
     def test_identity_gives_diagonal(self):
         p = Partition([{0, 1}, {2}])
         f = {v: v for v in range(3)}
-        assert pf.restrict_map_to_partition(f, p) == frozenset(
+        assert block_quotient([f], p).relations[0] == frozenset(
             {(0, 0), (1, 1)})
 
     def test_four_cycle_two_blocks(self):
         f = {1: 2, 2: 3, 3: 4, 4: 1}
         p = Partition([{1, 2}, {3, 4}])
-        assert pf.restrict_map_to_partition(f, p) == frozenset(
+        assert block_quotient([f], p).relations[0] == frozenset(
             {(0, 0), (0, 1), (1, 1), (1, 0)})
 
     def test_single_block_loop(self, rng):
@@ -380,11 +388,7 @@ class TestRestrictMap:
         rng.shuffle(verts)
         f = dict(zip(range(5), verts))
         p = Partition([set(range(5))])
-        assert pf.restrict_map_to_partition(f, p) == frozenset({(0, 0)})
-
-    def test_non_bijection_rejected(self):
-        with pytest.raises(ValueError):
-            pf.restrict_map_to_partition({0: 0, 1: 0}, Partition([{0, 1}]))
+        assert block_quotient([f], p).relations[0] == frozenset({(0, 0)})
 
     @given(st.permutations(list(range(6))), st.integers(1, 6))
     @settings(max_examples=60, deadline=None)
@@ -392,7 +396,7 @@ class TestRestrictMap:
         f = dict(enumerate(perm))
         blocks = [list(range(6))[i::k] for i in range(k)]
         p = Partition([b for b in blocks if b])
-        rel = pf.restrict_map_to_partition(f, p)
+        rel = block_quotient([f], p).relations[0]
         assert {a for a, _ in rel} == set(range(len(p)))
         assert {b for _, b in rel} == set(range(len(p)))
 
@@ -403,37 +407,29 @@ class TestRestrictMap:
             rng.shuffle(free)
             f = {0: 0, **dict(zip(range(1, 6), free))}
             p = Partition([{0, 1}, {2, 3}, {4, 5}])
-            rel = pf.restrict_map_to_partition(f, p)
-            prt = PartitionRelationTuple(p, [rel], fixed_blocks=[0])
-            assert prt.is_admissible()
+            q = block_quotient([f], p, marked=[0])
+            assert q.constants == (0,)
+            assert pf.in_family(q, F0N).ok
 
 
 class TestBasicOpen:
     def test_identity_diagonal(self):
         p = Partition([{0}, {1}])
         diag = frozenset({(0, 0), (1, 1)})
-        prt = PartitionRelationTuple(p, [diag, diag])
         h = [{0: 0, 1: 1}, {0: 0, 1: 1}]
-        assert pf.in_basic_open(h, p, prt)
+        assert block_quotient(h, p).relations == (diag, diag)
 
     def test_off_diagonal_rejected(self):
         p = Partition([{0}, {1}])
-        prt = PartitionRelationTuple(p, [frozenset({(0, 0), (1, 1),
-                                                    (0, 1)})])
-        assert not pf.in_basic_open([{0: 0, 1: 1}], p, prt)
+        assert block_quotient([{0: 0, 1: 1}], p).relations != (
+            frozenset({(0, 0), (1, 1), (0, 1)}),)
 
     def test_round_trip(self):
         f = {1: 2, 2: 3, 3: 4, 4: 1}
         p = Partition([{1, 2}, {3, 4}])
-        rel = pf.restrict_map_to_partition(f, p)
-        prt = PartitionRelationTuple(p, [rel])
-        assert pf.in_basic_open([f], p, prt)
-
-    def test_arity_mismatch(self):
-        p = Partition([{0}])
-        prt = PartitionRelationTuple(p, [frozenset({(0, 0)})])
-        with pytest.raises(ValueError):
-            pf.in_basic_open([{0: 0}, {0: 0}], p, prt)
+        q = block_quotient([f], p)
+        again = FinStructure(1, range(len(p)), q.relations)
+        assert block_quotient([f], p) == again
 
 
 class TestPartition:

@@ -15,8 +15,8 @@ from typing import Any
 
 from . import jsonio
 from .algebra import (BooleanPowerSpace, automorphisms, congruence_lattice,
-                      filtered_boolean_power, is_idempotent,
-                      malcev_term_exists, pin_closure_violation)
+                      is_idempotent, malcev_term_exists,
+                      pin_closure_violation)
 from .autgroup import (Khat, PowerAut, conjugator_values_in_stabiliser,
                        cycle_cover_instance, natural_action,
                        pinned_union_instance, qp_conjugator, regular_action,
@@ -265,8 +265,9 @@ def _cmd_power(args) -> int:
                 break
         _emit_json(payload, args.out)
         return EXIT_FALSE
-    power = filtered_boolean_power(a, space)
-    _emit_json({"kind": "power", "closed": True, "size": power.size,
+    # Each free point takes any element and each marked point its pin.
+    size = a.size ** len(space.free_points())
+    _emit_json({"kind": "power", "closed": True, "size": size,
                 "points": args.points, "marked": list(marked),
                 "pins": list(pins)}, args.out)
     return EXIT_OK

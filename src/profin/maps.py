@@ -161,33 +161,47 @@ class _Coverage:
     ``image_count`` counts the domain vertices sent to each codomain vertex
     and ``uncovered`` the codomain vertices not hit yet.  ``hits`` counts,
     per relation, how often each codomain pair is the image of a closed
-    domain pair.  ``slack[i]`` is the number of domain pairs of relation i
-    still open (an end unassigned) minus the codomain pairs of relation i
-    not hit yet.  A pair that closes onto an unhit codomain pair leaves the
-    slack as it is, and one that closes onto a hit pair lowers it.  Each
-    open pair covers at most one codomain pair when it closes, so no
-    extension of a map with a negative slack is an epimorphism.
+    domain pair.  Per relation i, ``slack[i]`` is the number of domain
+    pairs still open (an end unassigned) minus the codomain pairs not hit
+    yet, and ``edge_slack[i]`` the same count over non-loop pairs only.
+    A pair that closes onto an unhit codomain pair leaves ``slack`` as it
+    is, and one that closes onto a hit pair lowers it.  A domain non-loop
+    that closes onto an unhit codomain non-loop leaves ``edge_slack`` as it
+    is, and one that closes onto a hit pair or a codomain loop lowers it;
+    a domain loop, which only maps onto a loop, never changes it.  Each
+    open pair covers at most one codomain pair when it closes, and a
+    codomain non-loop is the image of a domain non-loop only, so the two
+    counts are Hall's condition for the two pair types: no extension of a
+    map with a negative slack of either kind is an epimorphism.
     """
 
-    __slots__ = ("image_count", "uncovered", "hits", "slack")
+    __slots__ = ("image_count", "uncovered", "hits", "slack", "edge_slack")
 
     def __init__(self, a: FinStructure, b: FinStructure):
+        def edges(rel):
+            return sum(x != y for x, y in rel)
+
         self.image_count = dict.fromkeys(b.vertices, 0)
         self.uncovered = len(b.vertices)
         self.hits = [dict.fromkeys(rel, 0) for rel in b.relations]
         self.slack = [len(a.relations[i]) - len(b.relations[i])
                       for i in range(a.m)]
+        self.edge_slack = [edges(a.relations[i]) - edges(b.relations[i])
+                           for i in range(a.m)]
 
     def add(self, w: int, pairs: list) -> bool:
-        """Count image w and the closed pairs (i, codomain pair), unless a
-        slack would go negative; then change nothing and return False."""
-        hits, slack = self.hits, self.slack
-        for i, pair in pairs:
+        """Count image w and the closed pairs (i, codomain pair, whether
+        the domain pair is a non-loop), unless a slack would go negative;
+        then change nothing and return False."""
+        hits, slack, edge_slack = self.hits, self.slack, self.edge_slack
+        for i, pair, edge in pairs:
             count = hits[i][pair]
             hits[i][pair] = count + 1
             if count:
                 slack[i] -= 1
-        if min(slack) < 0:
+            if edge and (count or pair[0] == pair[1]):
+                edge_slack[i] -= 1
+        if min(slack) < 0 or min(edge_slack) < 0:
             self._unhit(pairs)
             return False
         if not self.image_count[w]:
@@ -203,12 +217,14 @@ class _Coverage:
             self.uncovered += 1
 
     def _unhit(self, pairs: list) -> None:
-        hits, slack = self.hits, self.slack
-        for i, pair in pairs:
+        hits, slack, edge_slack = self.hits, self.slack, self.edge_slack
+        for i, pair, edge in pairs:
             count = hits[i][pair] - 1
             hits[i][pair] = count
             if count:
                 slack[i] += 1
+            if edge and (count or pair[0] == pair[1]):
+                edge_slack[i] += 1
 
 
 def _search_map(a: FinStructure, b: FinStructure, budget: int,
@@ -226,9 +242,12 @@ def _search_map(a: FinStructure, b: FinStructure, budget: int,
     When ``surjective`` is set, coverage counters (``_Coverage``) prune the
     search: a branch is cut when more codomain vertices are uncovered than
     domain vertices remain, or when some relation has more uncovered
-    codomain pairs than open domain pairs.  A cut subtree holds no
-    epimorphism, so the first witness in search order is the same as
-    without the cuts; the full map is still checked by check_epimorphism.
+    codomain pairs than open domain pairs, or more uncovered codomain
+    non-loops than open domain non-loops (a loop maps only onto a loop),
+    before the first node as well as after each assignment.  By Hall's
+    argument for the two pair types a cut subtree holds no epimorphism,
+    so the first witness in search order is the same as without the cuts;
+    the full map is still checked by check_epimorphism.
 
     The search runs from an explicit stack, one level per domain vertex,
     so its depth is not bounded by the interpreter's recursion limit.
@@ -253,7 +272,8 @@ def _search_map(a: FinStructure, b: FinStructure, budget: int,
         return None
     if surjective:
         cover = _Coverage(a, b)
-        if cover.uncovered > depth or min(cover.slack) < 0:
+        if (cover.uncovered > depth or min(cover.slack) < 0
+                or min(cover.edge_slack) < 0):
             return None
     candidates = sorted(b.vertices)
     assignment: dict[int, int] = {}
@@ -285,9 +305,9 @@ def _search_map(a: FinStructure, b: FinStructure, budget: int,
             if tight and cover.image_count[w] or w not in allowed:
                 continue
             if surjective:
-                pairs = [(i, (w, x)) for i, x in outs]
-                pairs += [(i, (x, w)) for i, x in ins]
-                pairs += [(i, (w, w)) for i in loops]
+                pairs = [(i, (w, x), True) for i, x in outs]
+                pairs += [(i, (x, w), True) for i, x in ins]
+                pairs += [(i, (w, w), False) for i in loops]
                 if not cover.add(w, pairs):
                     continue
                 hit[level] = pairs

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -282,6 +283,13 @@ class TestAlgebraPower:
         assert rc == 0
         payload = json.loads(out)
         assert payload["closed"] is True and payload["size"] == 9
+
+    def test_power_size_without_building_it(self, capout):
+        # 4^12 functions: the size is counted, not built
+        start = time.perf_counter()
+        rc, out = capout(["power", "--preset", "F4", "--points", "12"])
+        assert rc == 0 and time.perf_counter() - start < 1.0
+        assert '"size":16777216' in out
 
     def test_power_violation(self, capout):
         rc, out = capout(["power", "--preset", "Z3", "--points", "2",

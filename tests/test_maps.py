@@ -249,12 +249,113 @@ class TestSearchAgainstReference:
         assert 1 <= stats["deepest"] <= len(a.vertices)
 
 
-class TestSearchDefects:
+def loop_rich(rng: random.Random, m: int, shape: int | None = None,
+              cycle: int | None = None) -> FinStructure:
+    """Seeded structure with many loops, by ``shape`` (random if None):
+    0, a union of 1-3 copies of xy; 1, a looped cycle of 1-5 vertices (or
+    of ``cycle``); each further relation a relabelled copy of the first;
+    2, a random F0 structure with random loops added."""
+    if shape is None:
+        shape = rng.randrange(3)
+    if shape == 2:
+        s = random_f0(rng, max_size=5, m=m)
+        return FinStructure(m, s.vertices, [
+            rel | {(v, v) for v in s.vertices if rng.random() < 0.4}
+            for rel in s.relations])
+    base = xy_copies(rng.randint(1, 3)) if shape == 0 else \
+        looped_cycle(cycle or rng.randint(1, 5))
+    verts = base.sorted_vertices()
+    rels = [base.relations[0]]
+    for _ in range(m - 1):
+        perm = verts[:]
+        rng.shuffle(perm)
+        rels.append({(perm[x], perm[y]) for x, y in base.relations[0]})
+    return FinStructure(m, verts, rels)
+
+
+class TestLoopRichAgainstReference:
+    """The typed slack cuts only where a domain non-loop must cover a
+    codomain non-loop, which the random F0 pairs above rarely need."""
+
+    @staticmethod
+    def pairs(count: int):
+        """Seeded loop-rich pairs, m = 1-2: every other codomain is a
+        quotient of its domain; every fourth pair maps xy copies or a
+        looped cycle onto a looped cycle within one of the domain's
+        first-relation non-loop count, the count that decides there;
+        every third pair gets one constant."""
+        rng = random.Random(20261020)
+        for k in range(count):
+            m = rng.randint(1, 2)
+            a = loop_rich(rng, m, shape=rng.randrange(2) if k % 4 == 2
+                          else None)
+            if k % 2:
+                b, _ = pf.quotient(a, random_partition(rng, a))
+            elif k % 4:
+                edges = sum(x != y for x, y in a.relations[0])
+                b = loop_rich(rng, m, shape=1,
+                              cycle=max(1, edges + rng.randint(-1, 1)))
+            else:
+                b = loop_rich(rng, m)
+            if k % 3 == 2:
+                a, b = pf.expand_constants(a, 1), pf.expand_constants(b, 1)
+            yield a, b
+
+    def test_same_answer_and_no_more_nodes_than_reference(self):
+        found = brute = 0
+        for a, b in self.pairs(400):
+            want, spent = reference_search(a, b, 10**7, True)
+            got = pf.find_epimorphism(a, b, budget=max(spent, 1))
+            assert got == want
+            if got is not None:
+                found += 1
+                assert pf.check_epimorphism(got)
+            if len(a.vertices) <= 5:
+                brute += 1
+                assert (got is not None) == brute_force_epi_exists(a, b)
+        assert 200 <= found <= 350 and brute >= 250
+
+    def test_slack_rules(self):
+        # 9 domain pairs, 3 of them non-loops, onto the 4 pairs, 2 of them
+        # non-loops, of the looped C_2
+        cover = maps._Coverage(xy_copies(3), looped_cycle(2))
+        assert (cover.slack, cover.edge_slack) == ([5], [1])
+        steps = [
+            (1, [(0, (0, 1), True)], [5], [1]),   # non-loop, unhit non-loop
+            (0, [(0, (0, 0), False)], [5], [1]),  # loop, unhit loop
+            (0, [(0, (0, 0), False)], [4], [1]),  # loop, hit loop
+            (1, [(0, (1, 1), True)], [4], [0]),   # non-loop, unhit loop
+        ]
+        for w, pairs, slack, edge_slack in steps:
+            assert cover.add(w, pairs)
+            assert (cover.slack, cover.edge_slack) == (slack, edge_slack)
+        # a non-loop onto a hit non-loop would leave edge_slack at -1
+        assert not cover.add(1, [(0, (0, 1), True)])
+        assert (cover.slack, cover.edge_slack) == ([4], [0])
+        for w, pairs, _, _ in reversed(steps):
+            cover.remove(w, pairs)
+        assert (cover.slack, cover.edge_slack) == ([5], [1])
+        assert cover.uncovered == 2 and not any(cover.hits[0].values())
+
+
+class TestSearchNodeCounts:
     def test_xy_copies_onto_looped_c7_decided_within_budget(self):
         c7 = looped_cycle(7)
         assert pf.find_epimorphism(xy_copies(6), c7, budget=1_000_000) is None
         phi = pf.find_epimorphism(xy_copies(7), c7, budget=1_000_000)
         assert phi is not None and pf.check_epimorphism(phi)
+
+    def test_xy_copies_onto_longer_cycle_refuted_at_the_root(self):
+        # k non-loop pairs cannot cover the k + 1 non-loops of C_{k+1}
+        for k in range(1, 21):
+            assert pf.find_epimorphism(xy_copies(k), looped_cycle(k + 1),
+                                       budget=0) is None
+
+    def test_xy_copies_onto_equal_cycle_found_within_5000_nodes(self):
+        for k in range(1, 21):
+            phi = pf.find_epimorphism(xy_copies(k), looped_cycle(k),
+                                      budget=5_000)
+            assert phi is not None and pf.check_epimorphism(phi)
 
     def test_long_path_domain_needs_no_recursion(self):
         n = 2000

@@ -13,8 +13,7 @@ from .groups import (FinGroup, Labelling, cyclic_group, exponent,
 from .maps import (StructMap, check_epimorphism, check_homomorphism,
                    coinitial_cover, compose, fibre_product, find_epimorphism,
                    find_homomorphism, identity_map, jpp_witness, pap_witness)
-from .spirals import (QPWitness, Spiral, SpiralCover, make_spiral, reduct,
-                      spiral_cover_map, spiral_cover_of_digraph,
+from .spirals import (QPWitness, Spiral, make_spiral, spiral_cover_map,
                       spiral_qp_labelling, surj_qp_cover, verify_qp)
 from .algebra import (BooleanPowerAlgebra, BooleanPowerSpace, FinAlgebra,
                       automorphisms, boolean_power, congruence_closure,

@@ -8,6 +8,7 @@ search cap exhausted.  Identical argv and seed give byte-identical stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -490,7 +491,9 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_FALSE
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first ``run`` and kept."""
     ap = argparse.ArgumentParser(prog="profin")
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -683,14 +683,12 @@ def coinitial_cover(s: FinStructure, target: str,
 
     Both targets are constructions: the constant-free reduct gets a cover
     and fresh constant points are re-attached over the old ones.  For F0n
-    the reduct's cover is a disjoint spiral union; for Fn it is the F
-    cover of 4·Σ|R_i| vertices (the reduct itself when it is in F), and
-    CapExhausted is raised only when that exceeds an explicit ``size_cap``
-    (None for no cap).  ``budget`` is unused.
+    the reduct is its own cover (the derived QP cover over the trivial
+    group); for Fn it is the F cover of 4·Σ|R_i| vertices (the reduct
+    itself when it is in F), and CapExhausted is raised only when that
+    exceeds an explicit ``size_cap`` (None for no cap).  ``budget`` is
+    unused.
     """
-    from .groups import Labelling, preset_group
-    from .spirals import surj_qp_cover
-
     if target not in (F0N, FN):
         raise ValueError("target must be F0n or Fn")
     _require_family(s, F0N, "structure")
@@ -698,13 +696,8 @@ def coinitial_cover(s: FinStructure, target: str,
         return s, identity_map(s)
 
     reduct = induced(s, s.vertices, keep_constants=False)
-
     if target == F0N:
-        triv = preset_group("Z1")
-        lam = Labelling(reduct.vertices, triv, reduct.m,
-                        {v: (0,) * reduct.m for v in reduct.vertices})
-        wit = surj_qp_cover(reduct, lam, triv)
-        cover, phi = wit.phi.domain, wit.phi
+        cover, phi = reduct, identity_map(reduct)
     else:
         cover, phi = _f_cover(reduct, size_cap)
 

@@ -4,7 +4,9 @@ A spiral S(p,q,r) is a directed p-cycle and a directed r-cycle joined by a
 directed path on q vertices, with the identifications a_p = b_1 and
 b_q = c_1.  The quotient property ties a group labelling mu on a covering
 structure to a labelling lam on its image: for every edge (x,y) of relation
-i, mu(x)^-1 mu(y) = lam(phi(y))_i.
+i, mu(x)^-1 mu(y) = lam(phi(y))_i.  A QP cover of a whole F0 structure is
+the derived graph of lam (``surj_qp_cover``); spirals serve the single-cycle
+constructions.
 """
 
 from __future__ import annotations
@@ -12,10 +14,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import VerificationError
+from .errors import CapExhausted, VerificationError
 from .groups import FinGroup, Labelling, exponent, subgroup_closure
-from .maps import StructMap, check_epimorphism
-from .structures import F0, FinStructure, in_family, is_surjective_relation
+from .maps import StructMap
+from .structures import F0, FinStructure, in_family
+
+# Largest spiral built, in vertices; a larger one raises CapExhausted
+# before anything is allocated.  Peak RSS at the cap (CPython 3.11, x86-64):
+# `profin spiral make` 157 MB, `profin spiral cover` onto S(2,1,2) 221 MB,
+# and `profin qp label` over A4 (cover S(6p,1,6p)) 467 MB.
+_SPIRAL_CAP = 2 ** 18
 
 
 class Spiral:
@@ -28,6 +36,11 @@ class Spiral:
             raise ValueError("spiral needs p > 1 and r > 1")
         if q < 1:
             raise ValueError("spiral needs q >= 1")
+        count = p + q + r - 2
+        if count > _SPIRAL_CAP:
+            raise CapExhausted(f"spiral S({p},{q},{r}) has {count} vertices, "
+                               "over the spiral cap", budget=_SPIRAL_CAP,
+                               stats={"needed": count})
         self.p, self.q, self.r = p, q, r
         edges = set()
         for i in range(1, p):
@@ -38,7 +51,6 @@ class Spiral:
         for i in range(1, r):
             edges.add((self._c(i), self._c(i + 1)))
         edges.add((self._c(r), self._c(1)))
-        count = p + q + r - 2
         labels = {self._a(i): f"a{i}" for i in range(1, p + 1)}
         for i in range(2, q + 1):
             labels[self._b(i)] = f"b{i}"
@@ -211,150 +223,18 @@ def spiral_qp_labelling(base: Spiral, lam: Labelling, component: int,
     return witness
 
 
-def _bfs(s: FinStructure, i: int, start: int,
-         backward: bool = False) -> dict[int, int | None]:
-    """Parent of every vertex reachable from start (None at start), set at
-    first discovery, following edges or their reverses; the keys are in
-    discovery order."""
-    parent: dict[int, int | None] = {start: None}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in (s.in_neighbors(i, u) if backward
-                      else s.out_neighbors(i, u)):
-                if w not in parent:
-                    parent[w] = u
-                    nxt.append(w)
-        frontier = nxt
-    return parent
-
-
-def _walk_back(parent: dict[int, int | None], v: int) -> list[int]:
-    """Vertices of the BFS tree path from the start to v."""
-    path = [v]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
-
-
-def _shortest_cycle_through(s: FinStructure, i: int, v: int) -> list[int]:
-    """Vertices of a shortest directed cycle through v, starting at v."""
-    parent = _bfs(s, i, v)
-    for u in parent:
-        if v in s.out_neighbors(i, u):
-            return _walk_back(parent, u)
-    raise ValueError(f"vertex {v} lies on no directed cycle of relation {i}")
-
-
-def reduct(s: FinStructure, i: int) -> FinStructure:
-    """Single-relation reduct, keeping vertices and labels, no constants."""
-    if not 0 <= i < s.m:
-        raise IndexError(f"relation index {i} out of range")
-    return FinStructure(1, s.vertices, [s.relations[i]], labels=s.labels)
-
-
-@dataclass(frozen=True)
-class SpiralCover:
-    """Disjoint spiral union covering a single-relation digraph."""
-
-    structure: FinStructure
-    map: StructMap
-    components: tuple[tuple[Spiral, StructMap], ...]
-
-
-def spiral_cover_of_digraph(s: FinStructure, i: int) -> SpiralCover:
-    """Cover of the i-reduct by one spiral per edge.
-
-    The spiral for edge (u, v) walks a shortest ancestor cycle, a shortest
-    path to u, the edge itself, a shortest path from v into a descendant
-    cycle, and that cycle.  Length-1 cycles are traversed twice to respect
-    p, r > 1.  The union of the spiral maps covers every edge, so the
-    result is an epimorphism onto the reduct.
-    """
-    if not is_surjective_relation(s, i):
-        raise ValueError(f"relation {i} is not surjective")
-    target = reduct(s, i)
-    cycle_cache: dict[int, list[int] | None] = {}
-
-    def cycle_at(v: int) -> list[int] | None:
-        if v not in cycle_cache:
-            try:
-                cycle_cache[v] = _shortest_cycle_through(target, 0, v)
-            except ValueError:
-                cycle_cache[v] = None
-        return cycle_cache[v]
-
-    cycle_verts = [v for v in target.sorted_vertices()
-                   if cycle_at(v) is not None]
-
-    components: list[tuple[Spiral, StructMap]] = []
-    for u, v in sorted(s.relations[i]):
-        cyc_u = cycle_at(u)
-        if u == v and cyc_u is not None and len(cyc_u) == 1:
-            spiral = Spiral(2, 1, 2)
-            walk_map = {w: u for w in spiral.structure.vertices}
-            components.append(
-                (spiral, StructMap(spiral.structure, target, walk_map)))
-            continue
-        to_u = _bfs(target, 0, u, backward=True)
-        from_v = _bfs(target, 0, v)
-        anc = min((z for z in cycle_verts if z in to_u),
-                  key=lambda z: (len(_walk_back(to_u, z))
-                                 + len(cycle_at(z)), z))
-        dec = min((z for z in cycle_verts if z in from_v),
-                  key=lambda z: (len(_walk_back(from_v, z))
-                                 + len(cycle_at(z)), z))
-        cyc_a = cycle_at(anc)
-        cyc_c = cycle_at(dec)
-        assert cyc_a is not None and cyc_c is not None
-        walk = (_walk_back(_bfs(target, 0, anc), u)
-                + _walk_back(from_v, dec))
-        p = len(cyc_a) if len(cyc_a) > 1 else 2
-        r = len(cyc_c) if len(cyc_c) > 1 else 2
-        q = len(walk)
-        spiral = Spiral(p, q, r)
-        walk_map = {}
-        for j in range(1, p + 1):
-            walk_map[spiral.a(j)] = cyc_a[j % len(cyc_a)]
-        for j in range(1, q + 1):
-            walk_map[spiral.b(j)] = walk[j - 1]
-        for j in range(1, r + 1):
-            walk_map[spiral.c(j)] = cyc_c[(j - 1) % len(cyc_c)]
-        phi = StructMap(spiral.structure, target, walk_map)
-        components.append((spiral, phi))
-
-    offset = 0
-    verts: list[int] = []
-    edges: set[tuple[int, int]] = set()
-    mapping: dict[int, int] = {}
-    labels: dict[int, str] = {}
-    for spiral, phi in components:
-        st = spiral.structure
-        for w in st.sorted_vertices():
-            verts.append(offset + w)
-            mapping[offset + w] = phi.mapping[w]
-            labels[offset + w] = st.label_of(w)
-        edges.update((offset + a, offset + b) for a, b in st.relations[0])
-        offset += len(st.vertices)
-    union = FinStructure(1, verts, [edges], labels=labels)
-    out = StructMap(union, target, mapping)
-    if not check_epimorphism(out):
-        raise VerificationError("spiral union does not cover the reduct")
-    return SpiralCover(union, out, tuple(components))
-
-
 def surj_qp_cover(a: FinStructure, lam: Labelling,
                   t_group: FinGroup) -> QPWitness:
-    """QP cover of a surjective structure by labelled spiral unions.
+    """QP cover of an F0 structure: the derived graph of the voltage lam.
 
-    Per relation i the reduct gets a spiral cover, each spiral is replaced
-    by its exponent-fold cover carrying one propagated labelling per group
-    element (left shifts), and the per-relation parts are finally stitched
-    by extra edges so that every relation of the result is surjective.
-    Every vertex of the result keeps full label richness: each structure
-    vertex appears over every group value in every part.
+    Vertices are the pairs (v, g) with v a vertex of ``a`` and g in T, with
+    id index(v)·|T| + g over the sorted vertices and label "(<v>,g)"; R_i
+    holds (x, g) -> (y, g·lam(y)_i) for every (x, y) in R_i and every g
+    (Gross and Tucker, *Topological Graph Theory*, 1987).  phi(v, g) = v and
+    mu(v, g) = g, so mu(x)^-1 mu(y) = lam(phi(y))_i holds on every pair by
+    construction.  Every pair of ``a`` lifts, so phi is an epimorphism and
+    the cover is in F0; every (vertex, value) pair occurs exactly once,
+    which is full label richness.  The cover has |V|·|T| vertices.
     """
     rep = in_family(a, F0)
     if not rep:
@@ -363,84 +243,20 @@ def surj_qp_cover(a: FinStructure, lam: Labelling,
         raise ValueError(f"lam width {lam.width} does not match m={a.m}")
     if lam.carrier != a.vertices:
         raise ValueError("lam does not label the structure")
-    t = exponent(t_group)
-    table, inv = t_group.table, t_group.inverse
-
-    verts: list[int] = []
-    rels: list[set[tuple[int, int]]] = [set() for _ in range(a.m)]
-    mapping: dict[int, int] = {}
-    mu_vals: dict[int, tuple[int]] = {}
-    labels: dict[int, str] = {}
-    part_of: dict[int, int] = {}
-    rich: dict[tuple[int, int, int], list[int]] = {}
-    offset = 0
-
-    for i in range(a.m):
-        cover_i = spiral_cover_of_digraph(a, i)
-        for spiral, walk in cover_i.components:
-            base_lam = Labelling(
-                spiral.structure.vertices, t_group, a.m,
-                {v: lam.value(walk.mapping[v])
-                 for v in spiral.structure.vertices})
-            _, big, phi_big = _cover_pair(t, spiral.p, spiral.q, spiral.r)
-            seed = _propagate_mu(big, phi_big, base_lam, i, t_group,
-                                 big.a(1), 0)
-            into_a = {v: walk.mapping[phi_big.mapping[v]]
-                      for v in big.structure.vertices}
-            for g in range(t_group.order):
-                st = big.structure
-                for w in st.sorted_vertices():
-                    vid = offset + w
-                    verts.append(vid)
-                    mapping[vid] = into_a[w]
-                    mu_vals[vid] = (table[g][seed.values[w][0]],)
-                    labels[vid] = f"r{i}g{g}:{st.label_of(w)}"
-                    part_of[vid] = i
-                    rich.setdefault((mapping[vid], mu_vals[vid][0], i),
-                                    []).append(vid)
-                rels[i].update((offset + x, offset + y)
-                               for x, y in st.relations[0])
-                offset += len(st.vertices)
-
-    for lst in rich.values():
-        lst.sort()
-    for key in [(va, alpha, i) for va in a.vertices
-                for alpha in range(t_group.order) for i in range(a.m)]:
-        if key not in rich:
-            raise VerificationError(f"richness gap at {key}")
-
-    # Stitch the parts: each vertex of part i needs in/out edges in every
-    # other relation j, chosen so QP and the homomorphism property persist.
-    # Every added pair is re-checked on the spot.
-    if a.m > 1:
-        for b in verts:
-            i = part_of[b]
-            ab = mapping[b]
-            for j in range(a.m):
-                if j == i:
-                    continue
-                succ = a.out_neighbors(j, ab)[0]
-                want = table[mu_vals[b][0]][lam.component(succ, j)]
-                partner = rich[(succ, want, j)][0]
-                if (ab, mapping[partner]) not in a.relations[j] or \
-                        table[inv[mu_vals[b][0]]][mu_vals[partner][0]] \
-                        != lam.component(succ, j):
-                    raise VerificationError(
-                        f"stitch pair breaks relation {j}")
-                rels[j].add((b, partner))
-                pred = a.in_neighbors(j, ab)[0]
-                want = table[mu_vals[b][0]][inv[lam.component(ab, j)]]
-                partner = rich[(pred, want, j)][0]
-                if (mapping[partner], ab) not in a.relations[j] or \
-                        table[inv[mu_vals[partner][0]]][mu_vals[b][0]] \
-                        != lam.component(ab, j):
-                    raise VerificationError(
-                        f"stitch pair breaks relation {j}")
-                rels[j].add((partner, b))
-
-    cover = FinStructure(a.m, verts, rels, labels=labels)
-    phi = StructMap(cover, a, mapping)
-    mu = Labelling(cover.vertices, t_group, 1, mu_vals)
+    order, table = t_group.order, t_group.table
+    verts = a.sorted_vertices()
+    base = {v: k * order for k, v in enumerate(verts)}
+    values = lam.values
+    rels = [{(base[x] + g, base[y] + table[g][values[y][i]])
+             for x, y in rel for g in range(order)}
+            for i, rel in enumerate(a.relations)]
+    labels = {base[v] + g: f"({a.label_of(v)},{g})"
+              for v in verts for g in range(order)}
+    cover = FinStructure(a.m, range(len(verts) * order), rels, labels=labels)
+    phi = StructMap(cover, a, {base[v] + g: v
+                               for v in verts for g in range(order)})
+    mu = Labelling(cover.vertices, t_group, 1,
+                   {base[v] + g: (g,) for v in verts for g in range(order)})
     return QPWitness(phi, lam, mu)
 
 
@@ -451,30 +267,8 @@ def mu_values_in_subgroup(w: QPWitness, extra: tuple[int, ...] = ()) -> bool:
     return all(v[0] in closure for v in w.mu.values.values())
 
 
-def cover_part_of(cover: FinStructure) -> dict[int, int]:
-    """Relation part each vertex of a surj_qp_cover domain belongs to.
-
-    The cover labels its vertices "r<i>g<g>:<name>"; the part is the
-    relation whose spiral union contributed the vertex.
-    """
-    if not cover.labels:
-        raise ValueError("cover carries no part labels")
-    out = {}
-    for v in cover.vertices:
-        lab = cover.labels[v]
-        if not lab.startswith("r") or "g" not in lab:
-            raise ValueError(f"vertex {v} has no part label")
-        out[v] = int(lab[1:lab.index("g")])
-    return out
-
-
 def richness_scan(w: QPWitness) -> bool:
-    """Every codomain vertex is hit over every group value in every part."""
-    part = cover_part_of(w.phi.domain)
-    seen = {(w.phi.mapping[v], w.mu.component(v, 0), part[v])
+    """Every codomain vertex is hit over every group value."""
+    seen = {(w.phi.mapping[v], w.mu.component(v, 0))
             for v in w.phi.domain.vertices}
-    cod = w.phi.codomain
-    return all((a, alpha, i) in seen
-               for a in cod.vertices
-               for alpha in range(w.mu.group.order)
-               for i in range(cod.m))
+    return len(seen) == len(w.phi.codomain.vertices) * w.mu.group.order

@@ -85,6 +85,14 @@ class TestSpiral:
         phi = jsonio.map_from_json(cert)
         assert pf.check_epimorphism(phi)
 
+    def test_cover_over_the_spiral_cap_exits_three(self, capout):
+        rc, out = capout(["spiral", "cover", "-t", "1000000", "-p", "2",
+                          "-q", "1", "-r", "2"])
+        assert rc == 3
+        payload = json.loads(out)
+        assert payload["cap_exhausted"] is True
+        assert payload["stats"] == {"needed": 3_999_999}
+
 
 class TestEpi:
     def test_found_and_verifiable(self, tmp_path, capout):

@@ -1,10 +1,13 @@
+import random
+
 import pytest
 
 import profin as pf
-from profin import FinStructure, Labelling
-from profin.spirals import QPWitness, mu_values_in_subgroup
+from profin import CapExhausted, FinStructure, Labelling
+from profin.spirals import (_SPIRAL_CAP, QPWitness, mu_values_in_subgroup,
+                            richness_scan)
 
-from conftest import loop_structure, two_cycle
+from conftest import loop_structure, random_f0, two_cycle
 
 
 def z2():
@@ -42,6 +45,19 @@ class TestSpiralShape:
         for bad in [(1, 1, 2), (2, 0, 2), (2, 1, 1)]:
             with pytest.raises(ValueError):
                 pf.make_spiral(*bad)
+
+    def test_cap_refused_before_building(self):
+        p = 10 ** 12
+        with pytest.raises(CapExhausted) as info:
+            pf.make_spiral(p, 1, 2)
+        assert info.value.stats == {"needed": p + 1}
+        assert info.value.budget == _SPIRAL_CAP
+
+    def test_cap_bounds_the_winding_cover(self):
+        t = _SPIRAL_CAP
+        with pytest.raises(CapExhausted) as info:
+            pf.spiral_cover_map(t, 2, 1, 2)
+        assert info.value.stats == {"needed": 4 * t - 1}
 
     def test_wrap_edges_present(self):
         sp = pf.make_spiral(3, 2, 4)
@@ -172,53 +188,16 @@ class TestVerifyQP:
             pf.verify_qp(w)
 
 
-class TestSpiralCoverOfDigraph:
-    def test_single_loop(self):
-        cov = pf.spiral_cover_of_digraph(loop_structure(), 0)
-        assert len(cov.components) == 1
-        spiral, _ = cov.components[0]
-        assert (spiral.p, spiral.q, spiral.r) == (2, 1, 2)
-        assert set(cov.map.mapping.values()) == {0}
-        assert pf.check_epimorphism(cov.map)
-
-    def test_two_cycle_cycle_lengths(self):
-        cov = pf.spiral_cover_of_digraph(two_cycle(), 0)
-        assert pf.check_epimorphism(cov.map)
-        for spiral, _ in cov.components:
-            assert spiral.p % 2 == 0 and spiral.r % 2 == 0
-
-    def test_spiral_covers_itself(self):
-        s = pf.make_spiral(2, 1, 2).structure
-        cov = pf.spiral_cover_of_digraph(s, 0)
-        assert pf.check_epimorphism(cov.map)
-        assert pf.in_family(cov.structure, pf.F0).ok
-
-    def test_walk_maps_are_homomorphisms(self, rng):
-        from conftest import random_f0
-        for _ in range(10):
-            s = random_f0(rng, max_size=5, m=1)
-            cov = pf.spiral_cover_of_digraph(s, 0)
-            for spiral, walk in cov.components:
-                assert pf.check_homomorphism(walk)
-            assert pf.check_epimorphism(cov.map)
-
-    def test_non_surjective_rejected(self):
-        s = FinStructure(1, [0, 1], [{(0, 1)}])
-        with pytest.raises(ValueError):
-            pf.spiral_cover_of_digraph(s, 0)
-
-
 class TestSurjQPCover:
     def test_loop_trivial_group(self):
         triv = pf.preset_group("Z1")
         s = loop_structure()
         lam = Labelling(s.vertices, triv, 1, {0: 0})
         w = pf.surj_qp_cover(s, lam, triv)
-        assert len(w.phi.domain.vertices) == 3
+        assert len(w.phi.domain.vertices) == 1
         assert pf.verify_qp(w).ok
 
     def test_s212_z2_full_checks(self):
-        from profin.spirals import richness_scan
         s = pf.make_spiral(2, 1, 2).structure
         t = z2()
         lam = Labelling(s.vertices, t, 1, {v: v % 2 for v in s.vertices})
@@ -261,3 +240,57 @@ class TestSurjQPCover:
         lam = Labelling(s.vertices, z4, 1, {0: 2, 1: 0})
         w = pf.surj_qp_cover(s, lam, z4)
         assert mu_values_in_subgroup(w, extra=tuple(range(4)))
+
+
+class TestDerivedCoverOracle:
+    """surj_qp_cover against the derived graph read off the group table,
+    on seeded random F0 structures with m <= 2."""
+
+    GROUPS = ("Z2", "Z3", "S3", "Z4", "A4")
+
+    def cases(self):
+        rng = random.Random(38)
+        for k in range(100):
+            t = pf.preset_group(self.GROUPS[k % len(self.GROUPS)])
+            a = random_f0(rng, max_size=5, m=rng.randint(1, 2))
+            lam = Labelling(a.vertices, t, a.m,
+                            {v: tuple(rng.randrange(t.order)
+                                      for _ in range(a.m))
+                             for v in a.vertices})
+            yield a, lam, t
+
+    def test_checks_sizes_and_lifts(self):
+        for a, lam, t in self.cases():
+            w = pf.surj_qp_cover(a, lam, t)
+            cover, phi, mu = w.phi.domain, w.phi.mapping, w.mu
+            assert pf.verify_qp(w).ok
+            assert pf.check_epimorphism(w.phi)
+            assert pf.in_family(cover, pf.F0).ok
+            assert richness_scan(w)
+            assert len(cover.vertices) == len(a.vertices) * t.order
+            lift = {(phi[v], mu.component(v, 0)): v for v in cover.vertices}
+            assert len(lift) == len(cover.vertices)
+            for i in range(a.m):
+                assert len(cover.relations[i]) == \
+                    t.order * len(a.relations[i])
+                for x, y in a.relations[i]:
+                    for g in range(t.order):
+                        h = t.table[g][lam.component(y, i)]
+                        assert (lift[(x, g)], lift[(y, h)]) in \
+                            cover.relations[i]
+
+    def test_richness_fails_without_one_pair(self):
+        for a, lam, t in self.cases():
+            w = pf.surj_qp_cover(a, lam, t)
+            cover = w.phi.domain
+            gone = min(cover.vertices)
+            keep = cover.vertices - {gone}
+            sub = FinStructure(cover.m, keep,
+                               [{(x, y) for x, y in rel
+                                 if gone not in (x, y)}
+                                for rel in cover.relations])
+            cut = QPWitness(
+                pf.StructMap(sub, a, {v: w.phi.mapping[v] for v in keep}),
+                w.lam,
+                Labelling(keep, t, 1, {v: w.mu.values[v] for v in keep}))
+            assert not richness_scan(cut)

@@ -30,7 +30,7 @@ from .algebra import BooleanPowerSpace, FinAlgebra, preserves_operations
 from .errors import CapExhausted, VerificationError
 from .groups import (FinGroup, Labelling, compose_perms, exponent,
                      invert_perm)
-from .maps import StructMap, check_epimorphism
+from .maps import StructMap, check_epimorphism, check_homomorphism, compose
 from .spirals import QPWitness, Spiral, _propagate_mu, verify_qp
 from .structures import FinStructure, Partition, disjoint_union, quotient
 
@@ -121,17 +121,24 @@ class PowerAut:
         return f"PowerAut({self.perm}, {len(self.values)} kernel values)"
 
 
-def Hbar(space: BooleanPowerSpace, carrier: FinAlgebra | int,
-         perm: Sequence[int]) -> PowerAut:
-    """Coordinate shuffle: (hbar f)(x) = f(perm^-1(x))."""
+def _shuffle(space: BooleanPowerSpace, perm: Sequence[int]
+             ) -> tuple[int, ...]:
+    """``perm`` as a permutation of the points that fixes the marked ones;
+    raises ``ValueError`` otherwise."""
     p = tuple(int(x) for x in perm)
     if sorted(p) != list(range(space.points)):
         raise ValueError("not a permutation of the point set")
     for x in space.marked:
         if p[x] != x:
             raise ValueError(f"marked point {x} is moved")
+    return p
+
+
+def Hbar(space: BooleanPowerSpace, carrier: FinAlgebra | int,
+         perm: Sequence[int]) -> PowerAut:
+    """Coordinate shuffle: (hbar f)(x) = f(perm^-1(x))."""
     ident = tuple(range(_carrier_size(carrier)))
-    return PowerAut(space, carrier, p,
+    return PowerAut(space, carrier, _shuffle(space, perm),
                     {x: ident for x in space.free_points()})
 
 
@@ -186,14 +193,32 @@ def preserves_filtered_operations(elem: PowerAut, a: FinAlgebra,
     return all(preserves_operations(a, p) for p in elem.values.values())
 
 
+def block_quotient(space: BooleanPowerSpace, h: Sequence[Sequence[int]],
+                   partition: Partition) -> tuple[FinStructure, StructMap]:
+    """The block structure and projection of the point structure of ``h``
+    (relation i holds x -> h_i(x), the marked points are its constants) by
+    ``partition``.  Each h_i is checked first; raises ``ValueError``."""
+    rels = []
+    for i, perm in enumerate(h):
+        try:
+            p = _shuffle(space, perm)
+        except ValueError as exc:
+            raise ValueError(f"h[{i}]: {exc}") from None
+        rels.append({(x, p[x]) for x in range(space.points)})
+    points = FinStructure(len(h), range(space.points), rels,
+                          constants=space.marked)
+    return quotient(points, partition)
+
+
 @dataclass
 class TransconjInstance:
     """Certified input for the translate-to-conjugate construction.
 
     The kernel tuple acts blockwise by fixed permutations, the labelled
     cover (phi2, lam, mu) satisfies the quotient property over the block
-    quotient, and psi maps the point structure into the cover compatibly
-    with the projection.
+    quotient of the shuffle tuple h (``block_quotient``), which is
+    ``phi2.codomain``, and psi maps the point structure into the cover
+    with phi2 o psi the projection onto the blocks.
     """
 
     space: BooleanPowerSpace
@@ -202,8 +227,6 @@ class TransconjInstance:
     action: tuple[tuple[int, ...], ...]
     h: tuple[tuple[int, ...], ...]
     partition: Partition
-    block_structure: FinStructure
-    proj: StructMap
     q: FinStructure
     phi2: StructMap
     lam: Labelling
@@ -215,55 +238,30 @@ class TransconjInstance:
     def m(self) -> int:
         return len(self.h)
 
-    def point_structure(self) -> FinStructure:
-        rels = [{(x, p[x]) for x in range(self.space.points)}
-                for p in self.h]
-        return FinStructure(len(self.h), range(self.space.points), rels,
-                            constants=self.space.marked)
-
     def verify(self) -> None:
         """Re-check every invariant, naming the first violation."""
-        pts = list(range(self.space.points))
-        for i, p in enumerate(self.h):
-            if sorted(p) != pts:
-                raise VerificationError(f"h[{i}] is not a permutation")
-            for x in self.space.marked:
-                if p[x] != x:
-                    raise VerificationError(f"h[{i}] moves marked point {x}")
+        for x, e in zip(self.space.marked, self.space.pins):
+            if not 0 <= e < self.a_size:
+                raise VerificationError(f"pin {e} at point {x} is not in A")
         try:
+            blk, proj = block_quotient(self.space, self.h, self.partition)
             check_action(self.group, self.action, self.a_size)
         except ValueError as exc:
             raise VerificationError(str(exc)) from None
-        xs = self.point_structure()
-        blk, proj = quotient(xs, self.partition)
-        if blk != self.block_structure or proj != self.proj:
+        if (self.phi2.domain, self.phi2.codomain) != (self.q, blk):
             raise VerificationError(
-                "stored block quotient differs from the recomputed one")
-        if self.phi2.codomain != self.block_structure:
-            raise VerificationError(
-                "phi2 does not land in the block quotient")
-        if self.phi2.domain != self.q:
-            raise VerificationError("phi2 is not defined on the cover")
+                "phi2 is not a map from the cover to the block quotient")
         if not check_epimorphism(self.phi2):
             raise VerificationError("phi2 is not an epimorphism")
-        if set(self.psi) != set(pts):
-            raise VerificationError("psi is not total on the points")
-        for i in range(self.m):
-            rel = self.q.relations[i]
-            for x in pts:
-                if (self.psi[x], self.psi[self.h[i][x]]) not in rel:
-                    raise VerificationError(
-                        f"psi is not a homomorphism: point {x}, "
-                        f"relation {i}")
-        for j, x in enumerate(self.space.marked):
-            if self.psi[x] != self.q.constants[j]:
-                raise VerificationError(
-                    f"psi does not send marked point {x} to the cover "
-                    "constant")
-        for x in pts:
-            if self.phi2.mapping[self.psi[x]] != self.proj.mapping[x]:
-                raise VerificationError(
-                    f"phi2 o psi differs from the projection at point {x}")
+        try:
+            psi = StructMap(proj.domain, self.q, self.psi)
+        except ValueError as exc:
+            raise VerificationError(f"psi: {exc}") from None
+        if not check_homomorphism(psi):
+            raise VerificationError(
+                "psi is not a homomorphism of the point structure")
+        if compose(self.phi2, psi) != proj:
+            raise VerificationError("phi2 o psi differs from the projection")
         rep = verify_qp(QPWitness(self.phi2, self.lam, self.mu))
         if not rep:
             raise VerificationError(
@@ -273,9 +271,8 @@ class TransconjInstance:
             raise VerificationError("kernel tuple arity mismatch")
         for i, k in enumerate(self.kernel):
             for x in self.space.free_points():
-                blk_id = self.proj.mapping[x]
                 want = self.action[self.group.inverse[
-                    self.lam.component(blk_id, i)]]
+                    self.lam.component(proj.mapping[x], i)]]
                 if k.values[x] != want:
                     raise VerificationError(
                         f"kernel[{i}] does not act as the inverse block "
@@ -358,11 +355,10 @@ def cycle_cover_instance(p: int, q: int, r: int, group: FinGroup,
     if lam.width != 1 or lam.carrier != base.structure.vertices:
         raise ValueError("lam must be a width-1 labelling of the base "
                          "spiral")
-    path = base.path_vertices()
-    for idx, v in enumerate(path):
-        if lam.values[v] != lam.values[path[idx % p]]:
+    for v in base.path_vertices():
+        if lam.values[v] != lam.values[v % p]:
             raise ValueError(
-                f"labelling is not constant on cycle position {idx % p}"
+                f"labelling is not constant on cycle position {v % p}"
                 f" (vertex {base.structure.label_of(v)})")
 
     t = exponent(group)
@@ -371,31 +367,22 @@ def cycle_cover_instance(p: int, q: int, r: int, group: FinGroup,
     space = BooleanPowerSpace(n_pts)
     part = Partition([{k for k in range(n_pts) if k % p == j}
                       for j in range(p)])
-    xs = FinStructure(1, range(n_pts),
-                      [{(k, succ[k]) for k in range(n_pts)}])
-    blk, proj = quotient(xs, part)
+    blk, _ = block_quotient(space, (succ,), part)
 
     cover = Spiral(t * p, q, t * r)
-    cover_path = cover.path_vertices()
     phi2 = StructMap(cover.structure, blk,
-                     {v: idx % p for idx, v in enumerate(cover_path)})
+                     {v: v % p for v in cover.path_vertices()})
     lam_blocks = Labelling(blk.vertices, group, 1,
-                           {j: lam.values[path[j]] for j in range(p)})
+                           {j: lam.values[j] for j in range(p)})
     mu = _propagate_mu(cover, phi2, lam_blocks, 0, group, cover.a(1), alpha)
-    witness = QPWitness(phi2, lam_blocks, mu)
-    rep = verify_qp(witness)
-    if not rep:
-        raise VerificationError(f"cover labelling fails QP: {rep.reason}")
-
     kernel = Khat(space, a_size,
                   {x: acts[group.inverse[lam_blocks.component(x % p, 0)]]
                    for x in range(n_pts)})
     psi = {k: cover.a((k % (t * p)) + 1) for k in range(n_pts)}
     inst = TransconjInstance(
         space=space, a_size=a_size, group=group, action=acts,
-        h=(succ,), partition=part, block_structure=blk, proj=proj,
-        q=cover.structure, phi2=phi2, lam=lam_blocks, mu=mu, psi=psi,
-        kernel=(kernel,))
+        h=(succ,), partition=part, q=cover.structure, phi2=phi2,
+        lam=lam_blocks, mu=mu, psi=psi, kernel=(kernel,))
     inst.verify()
     return inst
 
@@ -432,67 +419,57 @@ def pinned_union_instance(far: TransconjInstance, near: TransconjInstance,
     n_pts = n_far + n_near + 1
     star = n_pts - 1
     space = BooleanPowerSpace(n_pts, marked=(star,), pins=(pin,))
-    shift = n_far
 
     h = tuple(
         [far.h[0][k] for k in range(n_far)]
-        + [near.h[0][k] + shift for k in range(n_near)]
+        + [near.h[0][k] + n_far for k in range(n_near)]
         + [star])
     part = Partition(
         [set(b) for b in far.partition.blocks]
-        + [{x + shift for x in b} for b in near.partition.blocks]
+        + [{x + n_far for x in b} for b in near.partition.blocks]
         + [{star}])
-    xs_rel = {(k, h[k]) for k in range(n_pts)}
-    xs = FinStructure(1, range(n_pts), [xs_rel], constants=(star,))
-    blk, proj = quotient(xs, part)
+    blk, _ = block_quotient(space, (h,), part)
+    # Blocks are ordered by least point, so far keeps its block ids, near's
+    # shift by len(far.partition), and the star's block comes last.
+    n_far_blocks = len(far.partition)
+    star_block = len(part) - 1
 
-    def new_block(old_part: Partition, old_id: int, off: int) -> int:
-        member = min(old_part.blocks[old_id]) + off
-        return proj.mapping[member]
-
-    q_far, q_near = far.q, near.q
     star_q = FinStructure(1, [0], [{(0, 0)}], constants=[0],
                           labels={0: "qstar"})
-    union_q, (inj_f, inj_n, inj_s) = disjoint_union([q_far, q_near, star_q])
+    union_q, (inj_f, inj_n, inj_s) = disjoint_union([far.q, near.q, star_q])
 
-    phi2_map = {}
-    for v in q_far.vertices:
-        phi2_map[inj_f[v]] = new_block(far.partition, far.phi2.mapping[v], 0)
-    for v in q_near.vertices:
-        phi2_map[inj_n[v]] = new_block(near.partition,
-                                       near.phi2.mapping[v], shift)
-    phi2_map[inj_s[0]] = proj.mapping[star]
+    phi2_map = {inj_f[v]: b for v, b in far.phi2.mapping.items()}
+    phi2_map.update({inj_n[v]: b + n_far_blocks
+                     for v, b in near.phi2.mapping.items()})
+    phi2_map[inj_s[0]] = star_block
     phi2 = StructMap(union_q, blk, phi2_map)
 
-    lam_vals = {}
-    for j in range(len(far.partition)):
-        lam_vals[new_block(far.partition, j, 0)] = far.lam.values[j]
-    for j in range(len(near.partition)):
-        lam_vals[new_block(near.partition, j, shift)] = near.lam.values[j]
-    lam_vals[proj.mapping[star]] = (0,)
+    lam_vals = dict(far.lam.values)
+    lam_vals.update({j + n_far_blocks: val
+                     for j, val in near.lam.values.items()})
+    lam_vals[star_block] = (0,)
     lam = Labelling(blk.vertices, far.group, 1, lam_vals)
 
-    mu_vals = {inj_f[v]: far.mu.values[v] for v in q_far.vertices}
-    mu_vals.update({inj_n[v]: near.mu.values[v] for v in q_near.vertices})
+    mu_vals = {inj_f[v]: g for v, g in far.mu.values.items()}
+    mu_vals.update({inj_n[v]: g for v, g in near.mu.values.items()})
     mu_vals[inj_s[0]] = (0,)
     mu = Labelling(union_q.vertices, far.group, 1, mu_vals)
 
     psi = {k: inj_f[far.psi[k]] for k in range(n_far)}
-    psi.update({k + shift: inj_n[near.psi[k]] for k in range(n_near)})
+    psi.update({k + n_far: inj_n[near.psi[k]] for k in range(n_near)})
     psi[star] = inj_s[0]
 
     kernel_vals = {k: far.kernel[0].values[k] for k in range(n_far)}
-    kernel_vals.update({k + shift: near.kernel[0].values[k]
+    kernel_vals.update({k + n_far: near.kernel[0].values[k]
                         for k in range(n_near)})
     kernel = Khat(space, far.a_size, kernel_vals)
 
     inst = TransconjInstance(
         space=space, a_size=far.a_size, group=far.group, action=far.action,
-        h=(h,), partition=part, block_structure=blk, proj=proj,
-        q=union_q, phi2=phi2, lam=lam, mu=mu, psi=psi, kernel=(kernel,))
+        h=(h,), partition=part, q=union_q, phi2=phi2, lam=lam, mu=mu,
+        psi=psi, kernel=(kernel,))
     inst.verify()
-    near_points = frozenset(range(shift, shift + n_near))
-    return inst, near_points
+    return inst, frozenset(range(n_far, n_far + n_near))
 
 
 def conjugator_values_in_stabiliser(c: PowerAut, points: frozenset[int],
@@ -502,8 +479,9 @@ def conjugator_values_in_stabiliser(c: PowerAut, points: frozenset[int],
 
 __all__ = [
     "Hbar", "Khat", "PowerAut", "ProductAut", "TransconjInstance",
-    "check_action", "conjugate", "conjugator_values_in_stabiliser",
-    "cycle_cover_instance", "elements_equal", "function_space",
-    "natural_action", "pinned_union_instance",
-    "preserves_filtered_operations", "qp_conjugator", "verify_conjugator",
+    "block_quotient", "check_action", "conjugate",
+    "conjugator_values_in_stabiliser", "cycle_cover_instance",
+    "elements_equal", "function_space", "natural_action",
+    "pinned_union_instance", "preserves_filtered_operations",
+    "qp_conjugator", "verify_conjugator",
 ]

@@ -26,7 +26,7 @@ from .errors import CapExhausted, VerificationError
 from .groups import Labelling, exponent, preset_group
 from .maps import (check_epimorphism, check_homomorphism, compose,
                    find_epimorphism, jpp_witness, pap_witness)
-from .spirals import (QPWitness, Spiral, spiral_cover_map,
+from .spirals import (QPWitness, Spiral, _cover_pair, spiral_cover_map,
                       spiral_qp_labelling, surj_qp_cover, verify_qp)
 from .structures import FAMILIES, in_family
 from .tower import Tower
@@ -72,6 +72,12 @@ def _parse(parse, path: str) -> Any:
         return parse(doc)
     except _MALFORMED as exc:
         raise _malformed(f"input {path}", exc) from None
+
+
+def _required(value: Any, flag: str) -> Any:
+    if value is None:
+        raise _UsageError({"error": f"{flag} is required"})
+    return value
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -190,25 +196,28 @@ def _cmd_qp(args) -> int:
     if args.action == "label":
         sp = Spiral(args.p, args.q, args.r)
         raw = _parse(lambda d: _parse_label_values(d, args.width),
-                     args.labels)
+                     _required(args.labels, "--labels"))
         try:
             values = {sp.vertex_by_name(name): tup
                       for name, tup in raw.items()}
-        except (KeyError, ValueError):
+        except ValueError:
             raise _UsageError({"error": "labels must use spiral vertex "
                                "names"}) from None
         lam = Labelling(sp.structure.vertices, group, args.width, values)
-        t = exponent(group)
-        big = Spiral(t * args.p, args.q, t * args.r)
+        # the cover spiral_qp_labelling reads, built here once
+        big = _cover_pair(exponent(group), args.p, args.q, args.r)[1]
         x0 = big.vertex_by_name(args.x0)
         w = spiral_qp_labelling(sp, lam, args.component - 1, group, x0,
                                 args.alpha)
         _emit_json(_qp_witness_json(w), args.out)
         return EXIT_OK
-    s = _parse(jsonio.structure_from_json, args.infile)
+    s = _parse(jsonio.structure_from_json, _required(args.infile, "--in"))
     if args.labels:
         raw = _parse(lambda d: _parse_label_values(d, s.m), args.labels)
         idx = {s.label_of(v): v for v in s.vertices}
+        if not raw.keys() <= idx.keys():
+            raise _UsageError({"error": "labels must use the structure's "
+                               "vertex names"})
         lam = Labelling(s.vertices, group, s.m,
                         {idx[name]: tup for name, tup in raw.items()})
     else:
@@ -224,9 +233,15 @@ def _cmd_qp(args) -> int:
     return EXIT_OK
 
 
+def _algebra(args) -> Any:
+    if args.infile:
+        return _parse(jsonio.algebra_from_json, args.infile)
+    return jsonio.algebra_from_json(_required(args.preset,
+                                              "--preset or --in"))
+
+
 def _cmd_algebra(args) -> int:
-    a = (_parse(jsonio.algebra_from_json, args.infile) if args.infile
-         else jsonio.algebra_from_json(args.preset))
+    a = _algebra(args)
     out: dict[str, Any] = {"kind": "algebra",
                            "algebra": jsonio.algebra_to_json(a)}
     if args.idempotents:
@@ -248,8 +263,7 @@ def _cmd_algebra(args) -> int:
 
 
 def _cmd_power(args) -> int:
-    a = (_parse(jsonio.algebra_from_json, args.infile) if args.infile
-         else jsonio.algebra_from_json(args.preset))
+    a = _algebra(args)
     marked = tuple(args.marked or ())
     pins = tuple(args.pins or ())
     try:
@@ -276,38 +290,28 @@ def _cmd_power(args) -> int:
 
 def _transconj_preset(name: str, seed: int):
     rng = random.Random(seed)
-    if name in ("z2-spiral", "z3-spiral", "s3-spiral"):
-        gname = {"z2-spiral": "Z2", "z3-spiral": "Z3",
-                 "s3-spiral": "S3"}[name]
-        group = preset_group(gname)
-        if gname == "Z2":
-            action, a_size = ((0, 1), (1, 0)), 2
-        elif gname == "Z3":
-            action, a_size = regular_action(group), 3
-        else:
-            action, a_size = natural_action(group), 3
-        sp = Spiral(2, 1, 2)
-        g = rng.randrange(group.order)
-        lam = Labelling(sp.structure.vertices, group, 1,
-                        {sp.a(1): g, sp.a(2): 0, sp.c(2): g})
+    gname = {"z2-spiral": "Z2", "z3-spiral": "Z3", "s3-spiral": "S3",
+             "z2-pinned": "Z2"}.get(name)
+    if gname is None:
+        raise _UsageError({"error": f"unknown transconj preset {name!r}"})
+    group = preset_group(gname)
+    # S3 permutes {0, 1, 2}; Z2 (the flip) and Z3 act on their elements
+    action = (natural_action(group) if gname == "S3"
+              else regular_action(group))
+    a_size = len(action[0])
+    sp = Spiral(2, 1, 2)
+    g = rng.randrange(group.order)
+    lam = Labelling(sp.structure.vertices, group, 1,
+                    {sp.a(1): g, sp.a(2): 0, sp.c(2): g})
+    if name != "z2-pinned":
         alpha = rng.randrange(group.order)
         return cycle_cover_instance(2, 1, 2, group, action, a_size, lam,
                                     alpha=alpha), None
-    if name == "z2-pinned":
-        group = preset_group("Z2")
-        action, a_size = ((0, 1), (1, 0)), 2
-        sp = Spiral(2, 1, 2)
-        g = rng.randrange(group.order)
-        lam_far = Labelling(sp.structure.vertices, group, 1,
-                            {sp.a(1): g, sp.a(2): 0, sp.c(2): g})
-        lam_near = Labelling(sp.structure.vertices, group, 1,
-                             {v: 0 for v in sp.structure.vertices})
-        far = cycle_cover_instance(2, 1, 2, group, action, a_size, lam_far)
-        near = cycle_cover_instance(2, 1, 2, group, action, a_size,
-                                    lam_near)
-        inst, near_pts = pinned_union_instance(far, near, pin=0)
-        return inst, near_pts
-    raise _UsageError({"error": f"unknown transconj preset {name!r}"})
+    lam_near = Labelling(sp.structure.vertices, group, 1,
+                         dict.fromkeys(sp.structure.vertices, 0))
+    far = cycle_cover_instance(2, 1, 2, group, action, a_size, lam)
+    near = cycle_cover_instance(2, 1, 2, group, action, a_size, lam_near)
+    return pinned_union_instance(far, near, pin=0)
 
 
 def _cmd_transconj(args) -> int:

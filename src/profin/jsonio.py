@@ -10,7 +10,8 @@ from __future__ import annotations
 import json
 from typing import Any, Mapping
 
-from .algebra import FinAlgebra, preset_algebra
+from .algebra import BooleanPowerSpace, FinAlgebra, preset_algebra
+from .autgroup import Khat, TransconjInstance, block_quotient
 from .groups import FinGroup, Labelling, preset_group
 from .maps import StructMap
 from .structures import FinStructure, Partition
@@ -145,7 +146,7 @@ def structure_to_dot(s: FinStructure, node_notes: Mapping[int, str]
     return "\n".join(lines) + "\n"
 
 
-def instance_to_json(inst) -> dict[str, Any]:
+def instance_to_json(inst: TransconjInstance) -> dict[str, Any]:
     """Full translate-to-conjugate instance, re-verifiable on load."""
     qn = _names(inst.q)
     return {
@@ -170,11 +171,7 @@ def instance_to_json(inst) -> dict[str, Any]:
     }
 
 
-def instance_from_json(d: Mapping[str, Any]):
-    from .algebra import BooleanPowerSpace
-    from .autgroup import Khat, TransconjInstance
-    from .structures import quotient
-
+def instance_from_json(d: Mapping[str, Any]) -> TransconjInstance:
     space = BooleanPowerSpace(int(d["points"]),
                               tuple(int(x) for x in d["marked"]),
                               tuple(int(e) for e in d["pins"]))
@@ -184,12 +181,8 @@ def instance_from_json(d: Mapping[str, Any]):
     part = Partition([set(map(int, b)) for b in d["partition"]])
     q = structure_from_json(d["q"])
     qidx = {q.label_of(v): v for v in q.vertices}
-    phi2_mapping = {qidx[str(v)]: int(b) for v, b in d["phi2_map"]}
-    rels = [{(x, p[x]) for x in range(space.points)} for p in h]
-    xs = FinStructure(len(h), range(space.points), rels,
-                      constants=space.marked)
-    blk, proj = quotient(xs, part)
-    phi2 = StructMap(q, blk, phi2_mapping)
+    blk, _ = block_quotient(space, h, part)
+    phi2 = StructMap(q, blk, {qidx[str(v)]: int(b) for v, b in d["phi2_map"]})
     lam = labelling_from_json(d["lam"], group=group)
     mu = Labelling(q.vertices, group, 1,
                    {qidx[str(v)]: (int(g),) for v, g in d["mu"]})
@@ -198,11 +191,10 @@ def instance_from_json(d: Mapping[str, Any]):
         Khat(space, int(d["a_size"]),
              {int(x): tuple(map(int, p)) for x, p in kv})
         for kv in d["kernel"])
-    inst = TransconjInstance(
+    return TransconjInstance(
         space=space, a_size=int(d["a_size"]), group=group, action=action,
-        h=h, partition=part, block_structure=blk, proj=proj, q=q,
-        phi2=phi2, lam=lam, mu=mu, psi=psi, kernel=kernel)
-    return inst
+        h=h, partition=part, q=q, phi2=phi2, lam=lam, mu=mu, psi=psi,
+        kernel=kernel)
 
 
 def dumps(obj: Any) -> str:

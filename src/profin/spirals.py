@@ -27,7 +27,12 @@ _SPIRAL_CAP = 2 ** 18
 
 
 class Spiral:
-    """Spiral digraph with canonical vertex ids and a_i/b_i/c_i names."""
+    """Spiral digraph whose vertex k is the k-th vertex of the walk
+    a_1 .. a_p = b_1 .. b_q = c_1 .. c_r, so a_i = i-1, b_i = p+i-2 and
+    c_i = p+q+i-3.  The edges are (k, k+1) along the walk plus the wraps
+    a_p -> a_1 and c_r -> c_1; every vertex is named by its first name
+    on the walk (a_i, then b_i for i >= 2, then c_i for i >= 2).
+    """
 
     __slots__ = ("p", "q", "r", "structure")
 
@@ -42,56 +47,36 @@ class Spiral:
                                "over the spiral cap", budget=_SPIRAL_CAP,
                                stats={"needed": count})
         self.p, self.q, self.r = p, q, r
-        edges = set()
-        for i in range(1, p):
-            edges.add((self._a(i), self._a(i + 1)))
-        edges.add((self._a(p), self._a(1)))
-        for i in range(1, q):
-            edges.add((self._b(i), self._b(i + 1)))
-        for i in range(1, r):
-            edges.add((self._c(i), self._c(i + 1)))
-        edges.add((self._c(r), self._c(1)))
-        labels = {self._a(i): f"a{i}" for i in range(1, p + 1)}
-        for i in range(2, q + 1):
-            labels[self._b(i)] = f"b{i}"
-        for i in range(2, r + 1):
-            labels[self._c(i)] = f"c{i}"
+        edges = {(k, k + 1) for k in range(count - 1)}
+        edges |= {(p - 1, 0), (count - 1, p + q - 2)}
+        labels = {k: f"a{k + 1}" for k in range(p)}
+        labels.update({p + i - 2: f"b{i}" for i in range(2, q + 1)})
+        labels.update({p + q + i - 3: f"c{i}" for i in range(2, r + 1)})
         self.structure = FinStructure(1, range(count), [edges], labels=labels)
-
-    def _a(self, i: int) -> int:
-        return i - 1
-
-    def _b(self, i: int) -> int:
-        return self.p - 1 if i == 1 else self.p + i - 2
-
-    def _c(self, i: int) -> int:
-        return self._b(self.q) if i == 1 else self.p + self.q + i - 3
 
     def a(self, i: int) -> int:
         if not 1 <= i <= self.p:
             raise ValueError(f"a index {i} out of range")
-        return self._a(i)
+        return i - 1
 
     def b(self, i: int) -> int:
         if not 1 <= i <= self.q:
             raise ValueError(f"b index {i} out of range")
-        return self._b(i)
+        return self.p + i - 2
 
     def c(self, i: int) -> int:
         if not 1 <= i <= self.r:
             raise ValueError(f"c index {i} out of range")
-        return self._c(i)
+        return self.p + self.q + i - 3
 
     def path_vertices(self) -> list[int]:
         """The walk a_1 .. a_p = b_1 .. b_q = c_1 .. c_r, each vertex once."""
-        seq = [self._a(i) for i in range(1, self.p + 1)]
-        seq.extend(self._b(i) for i in range(2, self.q + 1))
-        seq.extend(self._c(i) for i in range(2, self.r + 1))
-        return seq
+        return list(range(len(self.structure.vertices)))
 
     def vertex_by_name(self, name: str) -> int:
-        kind, idx = name[0], int(name[1:])
-        return {"a": self.a, "b": self.b, "c": self.c}[kind](idx)
+        if name[:1] not in ("a", "b", "c"):
+            raise ValueError(f"{name!r} is not a spiral vertex name")
+        return getattr(self, name[0])(int(name[1:]))
 
     def __repr__(self) -> str:
         return f"Spiral({self.p},{self.q},{self.r})"
@@ -108,13 +93,10 @@ def _cover_pair(t: int, p: int, q: int,
         raise ValueError("t must be >= 1")
     base = Spiral(p, q, r)
     cover = Spiral(t * p, q, t * r)
-    mapping = {}
-    for i in range(1, t * p + 1):
-        mapping[cover.a(i)] = base.a((i - 1) % p + 1)
-    for i in range(1, q + 1):
-        mapping[cover.b(i)] = base.b(i)
-    for i in range(1, t * r + 1):
-        mapping[cover.c(i)] = base.c((i - 1) % r + 1)
+    c1 = t * p + q - 2  # c_1 of the cover; the base's is p + q - 2
+    mapping = {k: k % p for k in range(t * p)}
+    mapping.update({k: k - (t - 1) * p for k in range(t * p, c1)})
+    mapping.update({c1 + j: p + q - 2 + j % r for j in range(t * r)})
     return base, cover, StructMap(cover.structure, base.structure, mapping)
 
 
@@ -177,20 +159,17 @@ def _propagate_mu(cover: Spiral, phi: StructMap, lam: Labelling,
     Each walk edge (x, y) forces mu(y) = mu(x) * lam(phi(y))_i forward and
     mu(x) = mu(y) * lam(phi(y))_i^-1 backward.
     """
-    seq = cover.path_vertices()
     if x0 not in cover.structure.vertices:
         raise ValueError(f"x0={x0} is not a cover vertex")
     if not 0 <= alpha < t_group.order:
         raise ValueError("alpha outside the group")
     table, inv = t_group.table, t_group.inverse
-    pos = seq.index(x0)
     mu = {x0: alpha}
-    for k in range(pos + 1, len(seq)):
-        inc = lam.component(phi.mapping[seq[k]], component)
-        mu[seq[k]] = table[mu[seq[k - 1]]][inc]
-    for k in range(pos - 1, -1, -1):
-        inc = lam.component(phi.mapping[seq[k + 1]], component)
-        mu[seq[k]] = table[mu[seq[k + 1]]][inv[inc]]
+    for k in range(x0 + 1, len(cover.structure.vertices)):
+        mu[k] = table[mu[k - 1]][lam.component(phi.mapping[k], component)]
+    for k in range(x0 - 1, -1, -1):
+        inc = lam.component(phi.mapping[k + 1], component)
+        mu[k] = table[mu[k + 1]][inv[inc]]
     return Labelling(cover.structure.vertices, t_group, 1,
                      {v: (g,) for v, g in mu.items()})
 
@@ -236,6 +215,8 @@ def surj_qp_cover(a: FinStructure, lam: Labelling,
     the cover is in F0; every (vertex, value) pair occurs exactly once,
     which is full label richness.  The cover has |V|·|T| vertices.
     """
+    if lam.group != t_group:
+        raise ValueError("lam is not over t_group")
     rep = in_family(a, F0)
     if not rep:
         raise ValueError(f"structure is not in F0: {rep.reason}")

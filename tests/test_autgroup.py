@@ -11,7 +11,8 @@ import profin as pf
 from profin import (BooleanPowerSpace, CapExhausted, Labelling, ProductAut,
                     VerificationError)
 from profin.algebra import ALGEBRA_PRESETS, is_idempotent
-from profin.autgroup import (conjugate, conjugator_values_in_stabiliser,
+from profin.autgroup import (block_quotient, conjugate,
+                             conjugator_values_in_stabiliser,
                              function_space, natural_action,
                              preserves_filtered_operations)
 from profin.groups import compose_perms, invert_perm
@@ -623,12 +624,65 @@ class TestQpConjugator:
         assert conjugator_values_in_stabiliser(c, near_pts, 0)
         assert inst.space.marked == (8,)
 
+    @pytest.mark.parametrize("tamper,why", [
+        ("psi-edge", "psi is not a homomorphism"),
+        ("psi-rotated", "phi2 o psi differs from the projection"),
+        ("psi-partial", "psi: map is not total"),
+        ("partition", "phi2 is not a map from the cover to the block")])
+    def test_tampered_instance_names_the_check(self, tamper, why):
+        group, action = z2_flip()
+        inst = pf.cycle_cover_instance(2, 1, 2, group, action, 2,
+                                       worked_lam(group))
+        cover = pf.make_spiral(4, 1, 4)
+        if tamper == "psi-edge":  # phi2 o psi unchanged, edge 0 -> 1 lost
+            inst.psi = {**inst.psi, 1: cover.a(4)}
+        elif tamper == "psi-rotated":  # a homomorphism, one block off
+            inst.psi = {k: cover.a((k + 1) % 4 + 1) for k in range(4)}
+        elif tamper == "psi-partial":
+            inst.psi = {k: v for k, v in inst.psi.items() if k}
+        else:
+            inst.partition = pf.Partition([{0, 1}, {2, 3}])
+        with pytest.raises(VerificationError, match=why):
+            inst.verify()
+
+    def test_pin_outside_a_rejected(self):
+        group, action = z2_flip()
+        sp = pf.make_spiral(2, 1, 2)
+        lam_id = Labelling(sp.structure.vertices, group, 1,
+                           {v: 0 for v in sp.structure.vertices})
+        near = pf.cycle_cover_instance(2, 1, 2, group, action, 2, lam_id)
+        inst, _ = pf.pinned_union_instance(near, near, pin=0)
+        inst.space = space(inst.space.points, inst.space.marked, (5,))
+        with pytest.raises(VerificationError, match="pin 5"):
+            inst.verify()
+
     def test_pinned_union_rejects_non_stabilising_near(self):
         group, action = z2_flip()
         far = pf.cycle_cover_instance(2, 1, 2, group, action, 2,
                                       worked_lam(group))
         with pytest.raises(ValueError):
             pf.pinned_union_instance(far, far, pin=0)
+
+
+class TestBlockQuotient:
+    def test_is_the_cover_codomain(self):
+        group, action = z2_flip()
+        inst = pf.cycle_cover_instance(2, 1, 2, group, action, 2,
+                                       worked_lam(group))
+        blk, proj = block_quotient(inst.space, inst.h, inst.partition)
+        assert blk == inst.phi2.codomain
+        assert proj.mapping == {x: x % 2 for x in range(4)}
+
+    @pytest.mark.parametrize("sp,h,why", [
+        (space(4), [(1, 2, 0)], r"h\[0\]: not a permutation"),
+        (space(4), [(1, 1, 2, 0)], r"h\[0\]: not a permutation"),
+        (space(4), [(0, 1, 2, 3), (1, 2, 3)], r"h\[1\]: not a permutation"),
+        (space(4, (3,), (0,)), [(1, 2, 3, 0)],
+         r"h\[0\]: marked point 3 is moved")])
+    def test_shuffle_checked_before_it_is_read(self, sp, h, why):
+        part = pf.Partition([{0, 2}, {1, 3}])
+        with pytest.raises(ValueError, match=why):
+            block_quotient(sp, h, part)
 
 
 class TestInstanceJson:

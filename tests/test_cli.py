@@ -477,6 +477,67 @@ def test_top_level_list_is_usage_error(tmp_path, capout, argv):
     assert rc == 2 and "error" in json.loads(out)
 
 
+@pytest.mark.parametrize("argv", [
+    ["qp", "cover", "--group", "Z2"],
+    ["qp", "label", "--group", "Z2", "-p", "2", "-q", "1", "-r", "2"],
+    ["algebra", "--simple"],
+    ["power", "--points", "2"],
+    ["qp", "cover", "--group", "Z2", "--in", "{s}", "--labels", "{lam}"],
+    ["qp", "label", "--group", "Z2", "--labels", "{spiral_lam}",
+     "--x0", "q1"],
+])
+def test_missing_or_unknown_input_is_usage_error(tmp_path, capout, argv):
+    files = {"{s}": structure_file(tmp_path, "s.json", two_cycle()),
+             "{lam}": write_json(tmp_path, "lam.json", {"0": 1, "zz": 0}),
+             "{spiral_lam}": write_json(tmp_path, "sl.json",
+                                        {"a1": 1, "a2": 0, "c2": 1})}
+    rc, out = capout([files.get(a, a) for a in argv])
+    assert rc == 2 and "error" in json.loads(out)
+
+
+def _mutate(inst, how):
+    """Change one field of a serialized transconj instance in place."""
+    if how == "short-h-row":
+        inst["h"][0].pop()
+    elif how == "points":
+        inst["points"] += 1
+    elif how == "partition":
+        inst["partition"].pop()
+    elif how == "psi":
+        x, v = inst["psi"][0]
+        inst["psi"][0] = [x, next(w for w in inst["q"]["vertices"]
+                                  if w != v)]
+    elif how == "phi2":
+        blocks = len(inst["partition"])
+        inst["phi2_map"][0][1] = (inst["phi2_map"][0][1] + 1) % blocks
+    elif how == "mu":
+        order = inst["group"]["order"]
+        inst["mu"][0][1] = (inst["mu"][0][1] + 1) % order
+    elif how == "kernel":
+        inst["kernel"][0][0][1].reverse()
+    elif how == "action":
+        inst["action"].reverse()
+    elif how == "a-size":
+        inst["a_size"] += 1
+    else:
+        inst["pins"] = inst["pins"][:-1] + [inst["a_size"] + 3]
+
+
+@pytest.mark.parametrize("how", [
+    "short-h-row", "points", "partition", "psi", "phi2", "mu", "kernel",
+    "action", "a-size", "pin"])
+@pytest.mark.parametrize("preset", ["z2-pinned", "s3-spiral", "z3-spiral"])
+def test_one_field_mutation_is_rejected(tmp_path, capout, preset, how):
+    rc, out = capout(["transconj", "demo", "--preset", preset,
+                      "--seed", "7"])
+    assert rc == 0
+    cert = json.loads(out)
+    _mutate(cert["instance"], how)
+    path = write_json(tmp_path, "tc.json", cert)
+    rc, out = capout(["verify", "--in", path])
+    assert rc in (1, 2) and isinstance(json.loads(out), dict)
+
+
 @pytest.mark.parametrize("doc", [
     {"seed": 3}, {"seed": "{xy}", "tasks": [{"target": "{xy}"}]},
     {"seed": "{xy}", "tasks": [5]},

@@ -207,6 +207,12 @@ class TestSurjQPCover:
         assert pf.in_family(w.phi.domain, pf.F0).ok
         assert richness_scan(w)
 
+    def test_lam_over_another_group_rejected(self):
+        s = two_cycle()
+        lam = Labelling(s.vertices, z2(), 1, {0: 1, 1: 0})
+        with pytest.raises(ValueError, match="t_group"):
+            pf.surj_qp_cover(s, lam, pf.preset_group("Z3"))
+
     def test_m2_loop_augmentation(self):
         t = z2()
         s = FinStructure(2, [0], [{(0, 0)}, {(0, 0)}])
